@@ -136,39 +136,6 @@ func BenchmarkFig4Simulation(b *testing.B) {
 	}
 }
 
-// BenchmarkServletEngine measures the real-VM servlet engine with and
-// without a MemHog (the §4.2 isolation property as a benchmark).
-func BenchmarkServletEngine(b *testing.B) {
-	for _, hog := range []bool{false, true} {
-		name := "clean"
-		if hog {
-			name = "memhog"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := jserv.NewEngine(vm)
-				for z := 0; z < 2; z++ {
-					if _, err := eng.AddServlet(fmt.Sprintf("z%d", z), 2048); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if hog {
-					if _, err := eng.AddMemHog("hog", 256); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := eng.ServeUntil(30, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // exceptionWorkload raises and catches n exceptions across a call frame.
 const exceptionWorkload = `
 .class t/E
@@ -658,15 +625,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 			name = "spans-on"
 		}
 		b.Run(name, func(b *testing.B) {
-			vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
+			srv, err := serve.NewSharded(core.Config{Engine: core.EngineJITOpt}, serve.Config{Shards: 1},
+				[]serve.TenantConfig{{Route: "/b", WorkUnits: 20}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			vm.Tel.Spans.SetEnabled(spans)
-			srv, err := serve.New(vm, serve.Config{}, []serve.TenantConfig{{Route: "/b", WorkUnits: 20}})
-			if err != nil {
-				b.Fatal(err)
-			}
+			srv.VMs()[0].Tel.Spans.SetEnabled(spans)
 			if _, err := srv.Start("127.0.0.1:0"); err != nil {
 				b.Fatal(err)
 			}

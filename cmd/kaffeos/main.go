@@ -138,7 +138,7 @@ func setup(rf *runFlags, files []string) (*kaffeos.VM, []job, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "kaffeos: telemetry on http://%s (/procs /metrics /trace /ps)\n", addr)
+		fmt.Fprintf(os.Stderr, "kaffeos: telemetry on http://%s (/metrics /procs /ps /spans /trace /audit /debug/pprof)\n", addr)
 	}
 
 	var jobs []job

@@ -92,24 +92,15 @@ func serveCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "kaffeos: telemetry on http://%s (/procs /metrics /spans /trace /ps /audit /debug/pprof, shard-labelled)\n", bound)
+		fmt.Fprintf(os.Stderr, "kaffeos: telemetry on http://%s (/metrics /procs /ps /spans /trace /audit /debug/pprof)\n", bound)
 	}
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "kaffeos: serving on http://%s (/serve for stats), %d shard(s)\n", bound, srv.Shards())
-	for _, tc := range tenants {
-		role := "servlet"
-		switch {
-		case tc.Hog:
-			role = "memhog"
-		case tc.Warm:
-			role = "warm"
-		case tc.Wide:
-			role = "wide"
-		}
-		fmt.Fprintf(os.Stderr, "kaffeos:   %-16s %-8s shard %d\n", tc.Route, role, srv.ShardOf(tc.Route))
+	for _, row := range srv.Rows() {
+		fmt.Fprintf(os.Stderr, "kaffeos:   %-16s %-8s shard %d\n", row.Route, row.Role, row.Shard)
 	}
 
 	sig := make(chan os.Signal, 1)

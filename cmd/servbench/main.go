@@ -5,7 +5,8 @@
 // Usage:
 //
 //	servbench            # the six curves of Figure 4 (fluid host simulation)
-//	servbench -real      # the isolation property on the real KaffeOS VM
+//	servbench -real      # the isolation property on the real VM: the
+//	                     # serving plane driven in process (Server.Do)
 //	servbench -real -http :8080   # with the telemetry HTTP endpoint
 //	servbench -csv       # machine-readable output
 //	servbench -net -requests 10000 -clients 32   # real HTTP load against a
@@ -24,9 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/jserv"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -53,23 +56,30 @@ func main() {
 
 	var err error
 	switch {
-	case *net && *coldstart:
-		err = coldstartBench(*trials, *shards, *jsonPath, *coldstartMin)
-	case *net && *codecache:
-		err = codecacheBench(*trials, *shards, *jsonPath, *codecacheMin)
-	case *net && *overcommit:
-		n := *requests
-		if n == 60 && !flagSet("requests") {
-			n = 1600
+	case *net && (*coldstart || *codecache || *overcommit):
+		opts := abOptions{
+			trials: *trials, shards: *shards, clients: *clients, requests: *requests,
+			memBudget: *memBudget, coldstartMin: *coldstartMin, codecacheMin: *codecacheMin,
 		}
-		c := *clients
-		if c == 32 && !flagSet("clients") {
-			c = 128
+		if opts.trials <= 0 {
+			opts.trials = 24
 		}
-		err = overcommitBench(*memBudget, n, c, *shards, *jsonPath)
+		if !flagSet("requests") {
+			opts.requests = 1600
+		}
+		if !flagSet("clients") {
+			opts.clients = 128
+		}
+		selected := map[string]bool{"coldstart": *coldstart, "codecache": *codecache, "overcommit": *overcommit}
+		for _, exp := range abExperiments(opts) {
+			if selected[exp.name] {
+				_, err = runAB(exp, os.Stdout, *jsonPath)
+				break
+			}
+		}
 	case *net:
 		n := *requests
-		if n == 60 && !flagSet("requests") {
+		if !flagSet("requests") {
 			n = 10000
 		}
 		err = netBench(*target, *routes, *clients, n, *bodyBytes, *shards, *jsonPath)
@@ -147,47 +157,72 @@ func at(outs []jserv.Outcome, n int) float64 {
 	return 0
 }
 
-// realDemo runs the isolation experiment on the real VM: three servlets
-// plus a MemHog, each in its own KaffeOS process.
+// realDemo is Figure 4's "real VM" arm: three servlet zones plus a MemHog,
+// each its own KaffeOS process on the one serving plane, driven in
+// process through Server.Do — one closed-loop client per route, requests
+// each. The hog keeps 16 KiB per request, so it walks into its 512 KiB
+// memlimit about every thirty.
 func realDemo(requests uint64, httpAddr string, gcWorkers int) error {
-	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt, GCWorkers: gcWorkers})
+	routes := []string{"/zone0", "/zone1", "/zone2", "/memhog"}
+	srv, err := serve.NewSharded(
+		core.Config{Engine: core.EngineJITOpt, GCWorkers: gcWorkers},
+		serve.Config{Shards: 1},
+		[]serve.TenantConfig{
+			{Route: routes[0]}, {Route: routes[1]}, {Route: routes[2]},
+			// ShedFraction -1 disables the graceful high-water shed: the
+			// kernel's memlimit kill is the isolation boundary under test.
+			{Route: routes[3], Hog: true, MemKB: 512, ShedFraction: -1},
+		})
 	if err != nil {
 		return err
 	}
 	if httpAddr != "" {
-		addr, err := vm.Tel.Serve(httpAddr, vm.Snapshot)
+		addr, err := srv.ServeTelemetry(httpAddr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "servbench: telemetry on http://%s (/procs /metrics /trace /ps)\n", addr)
+		fmt.Fprintf(os.Stderr, "servbench: telemetry on http://%s (/metrics /procs /ps /spans /trace /audit /debug/pprof)\n", addr)
 	}
-	eng := jserv.NewEngine(vm)
-	for i := 0; i < 3; i++ {
-		if _, err := eng.AddServlet(fmt.Sprintf("zone%d", i), 4096); err != nil {
-			return err
-		}
-	}
-	hog, err := eng.AddMemHog("memhog", 512)
-	if err != nil {
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
 	}
-	ms, err := eng.ServeUntil(requests, 0)
-	if err != nil {
+	vm := srv.VMs()[0]
+	start := vm.Sched.NowMillis()
+	var wg sync.WaitGroup
+	for _, route := range routes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < requests; i++ {
+				srv.Do(route, []byte("payload"))
+			}
+		}()
+	}
+	wg.Wait()
+	ms := vm.Sched.NowMillis() - start
+	rows := srv.Rows()
+	if err := closeAndAudit(srv); err != nil {
 		return err
 	}
+
 	fmt.Printf("real KaffeOS VM: 3 servlet zones + 1 MemHog (512 KiB memlimit)\n")
-	fmt.Printf("  virtual time: %d ms for %d requests per servlet\n", ms, requests)
-	for _, s := range eng.Servlets() {
-		role := "servlet"
-		if s.Hog {
-			role = "memhog"
+	fmt.Printf("  virtual time: %d ms for %d requests per zone\n", ms, requests)
+	var hogRestarts, neighbourBad uint64
+	for _, r := range rows {
+		fmt.Printf("  %-8s %-8s handled=%-6d restarts=%d\n", r.Name, r.Role, r.OK, r.Restarts)
+		if r.Role == "memhog" {
+			hogRestarts = r.Restarts
+		} else {
+			neighbourBad += r.Requests - r.OK
 		}
-		fmt.Printf("  %-8s %-8s handled=%-6d restarts=%d\n", s.Name, role, s.Handled(), s.Restarts())
 	}
-	fmt.Printf("  kernel heap after the dust settles: %d bytes\n", vm.KernelHeap.Bytes())
-	if hog.Restarts() == 0 {
+	fmt.Printf("  kernel heap after the dust settles: %d bytes; post-close audit ok\n", vm.KernelHeap.Bytes())
+	if hogRestarts == 0 {
 		return fmt.Errorf("memhog never hit its memlimit — isolation not demonstrated")
 	}
-	fmt.Println("  MemHog was killed by its memlimit and restarted; neighbours were unaffected.")
+	if neighbourBad > 0 {
+		return fmt.Errorf("neighbours saw %d non-200 answers — isolation violated", neighbourBad)
+	}
+	fmt.Println("  MemHog was killed by its memlimit and restarted; neighbours answered every request with 200.")
 	return nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -59,12 +57,11 @@ func quantize(vals []int64) phaseQuantiles {
 		return phaseQuantiles{}
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	q := func(p float64) int64 { return vals[int(p*float64(len(vals)-1))] }
 	var sum int64
 	for _, v := range vals {
 		sum += v
 	}
-	return phaseQuantiles{P50: q(0.50), P90: q(0.90), P99: q(0.99),
+	return phaseQuantiles{P50: pct(vals, 0.50), P90: pct(vals, 0.90), P99: pct(vals, 0.99),
 		Max: vals[len(vals)-1], Mean: sum / int64(len(vals))}
 }
 
@@ -161,35 +158,27 @@ func netBench(target, routeSpec string, clients int, requests uint64, bodyBytes,
 	if err != nil {
 		return err
 	}
-
-	var (
-		srv  *serve.Server
-		base string
-	)
 	if target != "" {
-		base = strings.TrimSuffix(target, "/")
-	} else {
-		srv, err = serve.NewSharded(
-			core.Config{Engine: core.EngineJITOpt},
-			serve.Config{Shards: shards, Place: serve.LeastLoaded},
-			tenants)
-		if err != nil {
-			return err
-		}
-		// Self-hosted runs record spans so the artifact carries the
-		// server-side phase breakdown of every request.
-		for _, vm := range srv.VMs() {
-			vm.Tel.Spans.SetEnabled(true)
-		}
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		base = "http://" + addr
-		fmt.Fprintf(os.Stderr, "servbench: self-hosted serving plane on %s (%d tenants, %d shards)\n",
-			base, len(tenants), srv.Shards())
+		return netLoad(nil, strings.TrimSuffix(target, "/"), tenants, clients, requests, bodyBytes, jsonPath)
 	}
+	return onPlane(core.Config{Engine: core.EngineJITOpt},
+		serve.Config{Shards: shards, Place: serve.LeastLoaded}, tenants,
+		func(srv *serve.Server, base string) error {
+			// Self-hosted runs record spans so the artifact carries the
+			// server-side phase breakdown of every request.
+			for _, vm := range srv.VMs() {
+				vm.Tel.Spans.SetEnabled(true)
+			}
+			fmt.Fprintf(os.Stderr, "servbench: self-hosted serving plane on %s (%d tenants, %d shards)\n",
+				base, len(tenants), srv.Shards())
+			return netLoad(srv, base, tenants, clients, requests, bodyBytes, jsonPath)
+		})
+}
 
+// netLoad generates the load against base, prints the run and writes its
+// report. srv is the self-hosted plane behind base (nil for -target); its
+// books join the report.
+func netLoad(srv *serve.Server, base string, tenants []serve.TenantConfig, clients int, requests uint64, bodyBytes int, jsonPath string) error {
 	stats := make([]*routeStats, len(tenants))
 	for i, tc := range tenants {
 		stats[i] = &routeStats{Route: tc.Route}
@@ -211,16 +200,13 @@ func netBench(target, routeSpec string, clients int, requests uint64, bodyBytes,
 				}
 				st := stats[int(i)%len(stats)]
 				st.sent.Add(1)
-				t0 := time.Now()
-				resp, err := client.Post(base+st.Route, "text/plain", strings.NewReader(body))
+				status, d, err := post(client, base+st.Route, body)
 				if err != nil {
 					st.transport.Add(1)
 					continue
 				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				st.lat.Observe(uint64(time.Since(t0).Nanoseconds()))
-				switch resp.StatusCode {
+				st.lat.Observe(uint64(d.Nanoseconds()))
+				switch status {
 				case http.StatusOK:
 					st.c200.Add(1)
 				case http.StatusServiceUnavailable:
@@ -284,14 +270,6 @@ func netBench(target, routeSpec string, clients int, requests uint64, bodyBytes,
 			})
 		}
 		rep.Phases = phasesFromSpans(spans)
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		for i, vm := range srv.VMs() {
-			if audit := vm.Audit(true); !audit.OK() {
-				return fmt.Errorf("post-run audit failed on shard %d:\n%s", i, audit)
-			}
-		}
 	}
 
 	fmt.Printf("net: %d requests, %d clients, %d-byte bodies against %s\n", requests, clients, bodyBytes, base)
@@ -332,20 +310,7 @@ func netBench(target, routeSpec string, clients int, requests uint64, bodyBytes,
 	}
 
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "servbench: wrote %s\n", jsonPath)
+		return writeJSON(jsonPath, rep)
 	}
 	return nil
 }

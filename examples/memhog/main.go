@@ -4,8 +4,9 @@
 // a MemHog that allocates without bound:
 //
 //  1. KaffeOS-style: each servlet in its own process with its own
-//     memlimit. The MemHog dies with OutOfMemoryError over and over; the
-//     supervisor restarts it; the other servlets never notice.
+//     memlimit, on the one-shard serving plane driven through Server.Do.
+//     The MemHog dies with OutOfMemoryError over and over; the supervisor
+//     restarts it; the other servlets never notice.
 //  2. Single-process (an "IBM/n"-style shared JVM): every servlet as a
 //     thread in ONE process with one heap. The MemHog's allocations kill
 //     the whole process — all servlets die with it.
@@ -14,10 +15,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	"repro/internal/bytecode"
 	"repro/internal/core"
-	"repro/internal/jserv"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -27,26 +29,40 @@ func main() {
 
 func isolated() {
 	fmt.Println("=== KaffeOS: one process per servlet ===")
-	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
+	routes := []string{"/servlet-0", "/servlet-1", "/servlet-2", "/memhog"}
+	srv, err := serve.NewSharded(core.Config{Engine: core.EngineJITOpt}, serve.Config{Shards: 1},
+		[]serve.TenantConfig{
+			{Route: routes[0], MemKB: 2048}, {Route: routes[1], MemKB: 2048}, {Route: routes[2], MemKB: 2048},
+			// ShedFraction -1: no graceful shed, the memlimit kill is the
+			// only backstop — the paper's MemHog scenario.
+			{Route: routes[3], Hog: true, MemKB: 384, ShedFraction: -1},
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := jserv.NewEngine(vm)
-	for i := 0; i < 3; i++ {
-		if _, err := eng.AddServlet(fmt.Sprintf("servlet-%d", i), 2048); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := eng.AddMemHog("memhog", 384); err != nil {
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
-	ms, err := eng.ServeUntil(100, 0)
-	if err != nil {
+	vm := srv.VMs()[0]
+	var wg sync.WaitGroup
+	for _, route := range routes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				srv.Do(route, []byte("payload"))
+			}
+		}()
+	}
+	wg.Wait()
+	ms := vm.Sched.NowMillis()
+	rows := srv.Rows()
+	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("all servlets answered 100 requests in %d virtual ms\n", ms)
-	for _, s := range eng.Servlets() {
-		fmt.Printf("  %-10s handled=%-5d restarts=%d\n", s.Name, s.Handled(), s.Restarts())
+	fmt.Printf("every route was sent 100 requests in %d virtual ms\n", ms)
+	for _, r := range rows {
+		fmt.Printf("  %-10s handled=%-5d restarts=%d\n", r.Name, r.OK, r.Restarts)
 	}
 	fmt.Printf("  kernel heap after the storm: %d bytes\n\n", vm.KernelHeap.Bytes())
 }

@@ -24,11 +24,7 @@ func main() {
 	clients := flag.Int("clients", 16, "concurrent client connections")
 	flag.Parse()
 
-	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := serve.New(vm, serve.Config{}, []serve.TenantConfig{
+	srv, err := serve.NewSharded(core.Config{Engine: core.EngineJITOpt}, serve.Config{Shards: 1}, []serve.TenantConfig{
 		{Route: "/zone0"},
 		{Route: "/zone1"},
 		{Route: "/zone2"},
@@ -108,7 +104,7 @@ func main() {
 		fmt.Printf("(%d of its requests failed or were shed); the neighbours answered\n", hogFailures.Load())
 		fmt.Println("every request with 200 — kernel isolation held under real traffic.")
 	}
-	if rep := vm.Audit(true); !rep.OK() {
+	if rep := srv.VMs()[0].Audit(true); !rep.OK() {
 		log.Fatalf("FAIL: post-run audit:\n%s", rep)
 	}
 	fmt.Println("post-run kernel audit: all invariants hold.")

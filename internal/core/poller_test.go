@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestConcurrentPollersDuringChurn hammers the introspection surface
@@ -20,7 +22,7 @@ func TestConcurrentPollersDuringChurn(t *testing.T) {
 	vm.Tel.SetTracing(true)
 	vm.Tel.Spans.SetEnabled(true)
 
-	ts := httptest.NewServer(vm.Tel.Handler(vm.Snapshot))
+	ts := httptest.NewServer(telemetry.Handler([]telemetry.Source{vm.TelemetrySource()}))
 	defer ts.Close()
 
 	churnSrc := `
@@ -73,7 +75,7 @@ L0:	ldc 256
 						failures.Add(1)
 					}
 				case "/procs", "/audit":
-					if len(body) == 0 || body[0] != '{' {
+					if len(body) == 0 || body[0] != '[' {
 						failures.Add(1)
 					}
 				}

@@ -117,8 +117,7 @@ type Process struct {
 	// gcTrigger is the heap size past which the scheduler's charge hook
 	// collects the heap adaptively. Rearmed after every collection — from
 	// the controller's target when one governs this process, else by the
-	// local square-root rule (or the legacy growth factor); never below
-	// GCMinHeap. Read every quantum.
+	// local square-root rule; never below gcMinHeap. Read every quantum.
 	gcTrigger atomic.Uint64
 	// ctlTrigger, when nonzero, is the memory-balancer controller's limit
 	// for this heap: resetGCTrigger uses it instead of computing a local
@@ -172,7 +171,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 		ioLimit:   opts.IOLimit,
 	}
 	p.state.Store(uint32(ProcRunning))
-	p.gcTrigger.Store(vm.Cfg.GCMinHeap)
+	p.gcTrigger.Store(gcMinHeap)
 	if vm.Tel != nil {
 		scope := vm.Tel.Reg.Proc(int32(pid))
 		p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
@@ -598,8 +597,8 @@ func (p *Process) CollectAttributed(req uint64) heap.GCResult {
 // goroutine); read from resetGCTrigger on the same goroutine and from
 // external pollers via the atomic.
 func (p *Process) setControlledTrigger(t uint64) {
-	if min := p.VM.Cfg.GCMinHeap; t < min {
-		t = min
+	if t < gcMinHeap {
+		t = gcMinHeap
 	}
 	p.ctlTrigger.Store(t)
 	p.gcTrigger.Store(t)
@@ -610,22 +609,11 @@ func (p *Process) setControlledTrigger(t uint64) {
 // process, its last target stands until the next rebalance round. Otherwise
 // the local square-root rule applies: live + √(live × rate × horizon), the
 // single-heap MemBalancer limit, degrading to the classic 2× growth trigger
-// when no allocation rate is known yet. GCLegacyGrowth restores the fixed
-// GCGrowthFactor multiplier for differential testing. Never below GCMinHeap.
+// when no allocation rate is known yet. Never below gcMinHeap.
 func (p *Process) resetGCTrigger() {
-	if ctl := p.ctlTrigger.Load(); ctl != 0 {
-		next := ctl
-		if min := p.VM.Cfg.GCMinHeap; next < min {
-			next = min
-		}
-		p.gcTrigger.Store(next)
-		return
-	}
-	live := p.Heap.Bytes()
-	var next uint64
-	if p.VM.Cfg.GCLegacyGrowth {
-		next = uint64(float64(live) * p.VM.Cfg.GCGrowthFactor)
-	} else {
+	next := p.ctlTrigger.Load()
+	if next == 0 {
+		live := p.Heap.Bytes()
 		alloc := p.Heap.Stats().AllocBytes
 		now := p.VM.Sched.Now()
 		lastAlloc := p.lastGCAlloc.Swap(alloc)
@@ -634,10 +622,10 @@ func (p *Process) resetGCTrigger() {
 		if lastCycles != 0 && now > lastCycles && alloc >= lastAlloc {
 			rate = float64(alloc-lastAlloc) / float64(now-lastCycles)
 		}
-		next = live + membal.SqrtExtra(live, rate, p.VM.Cfg.GCSqrtHorizon)
+		next = live + membal.SqrtExtra(live, rate, gcSqrtHorizon)
 	}
-	if min := p.VM.Cfg.GCMinHeap; next < min {
-		next = min
+	if next < gcMinHeap {
+		next = gcMinHeap
 	}
 	p.gcTrigger.Store(next)
 }

@@ -238,7 +238,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 		ioLimit:   opts.IOLimit,
 	}
 	p.state.Store(uint32(ProcRunning))
-	p.gcTrigger.Store(vm.Cfg.GCMinHeap)
+	p.gcTrigger.Store(gcMinHeap)
 	if vm.Tel != nil {
 		scope := vm.Tel.Reg.Proc(int32(pid))
 		p.ctrCPU = scope.Counter(telemetry.MCPUCycles)

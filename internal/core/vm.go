@@ -73,30 +73,9 @@ type Config struct {
 	// KernelMemory is the hard reservation for the kernel heap (default
 	// 32 MiB).
 	KernelMemory uint64
-	// Quantum is the scheduling quantum in cycles.
-	Quantum int64
 	// GCWorkers bounds the worker pool CollectAll uses to run process-heap
 	// collections concurrently. 0 selects GOMAXPROCS.
 	GCWorkers int
-	// GCGrowthFactor is the legacy adaptive collection trigger: a process
-	// heap is collected once it grows past factor × its size after the
-	// previous collection (default 2.0). Only consulted when
-	// GCLegacyGrowth is set; the default trigger is the square-root rule
-	// (Kirisame et al., MemBalancer), which grants a heap headroom
-	// √(live × alloc-rate × GCSqrtHorizon) instead of a fixed multiple.
-	GCGrowthFactor float64
-	// GCLegacyGrowth restores the fixed growth-factor trigger, for
-	// differential testing against the square-root rule.
-	GCLegacyGrowth bool
-	// GCSqrtHorizon tunes the square-root trigger: the virtual-cycle
-	// window whose expected allocation volume is balanced against the
-	// live size (default 2^26 cycles ≈ 134 virtual ms). Larger = laxer
-	// triggers, fewer collections, more memory.
-	GCSqrtHorizon uint64
-	// GCMinHeap is the floor below which the adaptive trigger never fires
-	// (default 256 KiB), so short-lived or tiny processes are never
-	// collected preemptively.
-	GCMinHeap uint64
 	// MemBudget, when nonzero, runs the MemBalancer controller
 	// (internal/membal) over every process heap: the budget is
 	// redistributed across all process memlimits every MemBalInterval
@@ -146,15 +125,6 @@ func (c *Config) fill() {
 	if c.KernelMemory == 0 {
 		c.KernelMemory = 32 << 20
 	}
-	if c.GCGrowthFactor <= 0 {
-		c.GCGrowthFactor = 2.0
-	}
-	if c.GCSqrtHorizon == 0 {
-		c.GCSqrtHorizon = 1 << 26
-	}
-	if c.GCMinHeap == 0 {
-		c.GCMinHeap = 256 << 10
-	}
 	if c.MemBalInterval == 0 {
 		c.MemBalInterval = 500_000
 	}
@@ -162,6 +132,20 @@ func (c *Config) fill() {
 		c.Stdout = io.Discard
 	}
 }
+
+// The adaptive GC trigger's two constants. A process heap is collected
+// once it outgrows live + √(live × alloc-rate × gcSqrtHorizon), the
+// square-root rule (Kirisame et al., MemBalancer).
+const (
+	// gcSqrtHorizon is the virtual-cycle window whose expected allocation
+	// volume is balanced against the live size (≈ 134 virtual ms). Larger
+	// means laxer triggers: fewer collections, more memory.
+	gcSqrtHorizon = 1 << 26
+	// gcMinHeap is the floor below which the trigger never fires, so
+	// short-lived or tiny processes are never collected preemptively. It
+	// is also the memory controller's per-process floor.
+	gcMinHeap = 256 << 10
+)
 
 // Pid identifies a process within a VM.
 type Pid int32
@@ -292,7 +276,7 @@ func NewVM(cfg Config) (*VM, error) {
 	if cfg.MemBudget > 0 {
 		vm.ctl = &membal.Controller{
 			Budget: cfg.MemBudget,
-			Floor:  cfg.GCMinHeap,
+			Floor:  gcMinHeap,
 			Sink:   vm.Tel,
 			Scope:  vm.Tel.Reg.Kernel(),
 			Faults: cfg.Faults,
@@ -300,7 +284,6 @@ func NewVM(cfg Config) (*VM, error) {
 	}
 
 	vm.Sched = sched.New(vm.engine)
-	vm.Sched.Quantum = cfg.Quantum
 	vm.Sched.OnExit = vm.onThreadExit
 	vm.Sched.Telemetry = vm.Tel
 	if cfg.Faults != nil {
@@ -329,9 +312,8 @@ func NewVM(cfg Config) (*VM, error) {
 				p.Kill(ErrCPULimit)
 			}
 			// Adaptive trigger: collect a heap that outgrew its computed
-			// limit (square-root rule, controller-set, or the legacy
-			// growth factor), instead of waiting for an allocation
-			// failure. Runs on the scheduler goroutine, so the process'
+			// limit (square-root rule or controller-set), instead of
+			// waiting for an allocation failure. Runs on the scheduler goroutine, so the process'
 			// mutators are quiescent; the cycles are charged to the
 			// process through the normal path.
 			if p.State() == ProcRunning && p.Heap.Bytes() > p.gcTrigger.Load() {
@@ -342,10 +324,6 @@ func NewVM(cfg Config) (*VM, error) {
 			}
 		}
 	}
-
-	// Advisory invariant audits over HTTP (/audit); numeric checks only,
-	// since a served VM may be mid-mutation.
-	vm.Tel.SetAuditor(func() any { return vm.Audit(false) })
 
 	vm.Env = vm.buildEnv()
 
@@ -670,6 +648,20 @@ func (vm *VM) KernelGCs() uint64 {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	return vm.kernelGC
+}
+
+// TelemetrySource is this VM's seat on the HTTP introspection surface
+// (telemetry.Handler): its hub, its process table, and advisory invariant
+// audits — numeric checks only, since a served VM may be mid-mutation.
+func (vm *VM) TelemetrySource() telemetry.Source {
+	return telemetry.Source{
+		Hub:      vm.Tel,
+		Snapshot: vm.Snapshot,
+		Audit: func() (any, bool) {
+			rep := vm.Audit(false)
+			return rep, rep.OK()
+		},
+	}
 }
 
 // Snapshot captures a point-in-time telemetry view of the VM: the virtual

@@ -9,10 +9,9 @@ import (
 )
 
 // This file holds the request-driven servlet programs used by the network
-// serving plane (internal/serve). Unlike servletSource/memHogSource above —
-// which loop forever and are driven by virtual time — these export a static
-// handle method the serving plane invokes once per HTTP request, on a fresh
-// green thread of the tenant's process. The request body is marshalled into
+// serving plane (internal/serve). Each exports a static handle method the
+// serving plane invokes once per request, on a fresh green thread of the
+// tenant's process. The request body is marshalled into
 // the tenant's heap as an int array (charged to its memlimit) and passed as
 // the first argument; the second argument is the tenant's configured
 // per-request work, in abstract units.

@@ -15,10 +15,13 @@
 //     entities. Each model's *policy* — who dies on OOM, what must restart
 //     — is exactly the paper's.
 //
-//   - A real servlet engine running on the KaffeOS VM (engine.go): actual
-//     processes with memlimits, an actual MemHog killed by its limit, and
-//     actual unaffected neighbours. It demonstrates on the real system the
-//     property the simulation quantifies at scale.
+//   - The request-driven servlet programs (programs.go) the serving plane
+//     (internal/serve) loads into its tenant processes: actual processes
+//     with memlimits, an actual MemHog killed by its limit, and actual
+//     unaffected neighbours. Driving the plane — `servbench -real` in
+//     process, the BENCHMARK.json serve_hostile workload over a socket —
+//     demonstrates on the real system the property the simulation
+//     quantifies at scale.
 package jserv
 
 import (

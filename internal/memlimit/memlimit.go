@@ -342,6 +342,16 @@ func (l *Limit) Max() uint64 {
 	return l.max
 }
 
+// Load reports l's use and max as one consistent pair. Separate Use and
+// Max calls can straddle a concurrent SetMaxClamped and pair a use from
+// before the shrink with a max from after it; anything that compares the
+// two (admission high-water marks, invariant samplers) reads them here.
+func (l *Limit) Load() (use, max uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.use, l.max
+}
+
 // Available reports how many bytes l could still debit locally (ignoring
 // ancestors, which may be tighter). Saturates at zero: a controller may
 // pin max to exactly the current use (SetMaxClamped), and a raw

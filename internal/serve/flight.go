@@ -48,14 +48,14 @@ type FlightDump struct {
 	TraceDropped uint64 `json:"trace_dropped"`
 }
 
-// flightOnShed triggers a shed-storm dump, at most one per FlightMinGap
+// flightOnShed triggers a shed-storm dump, at most one per flightMinGap
 // per tenant. Owning engine goroutine only.
 func (sh *shard) flightOnShed(tn *tenant) {
 	if sh.cfg.FlightDir == "" {
 		return
 	}
 	now := time.Now()
-	if !tn.flightLastShed.IsZero() && now.Sub(tn.flightLastShed) < sh.cfg.FlightMinGap {
+	if !tn.flightLastShed.IsZero() && now.Sub(tn.flightLastShed) < flightMinGap {
 		return
 	}
 	tn.flightLastShed = now
@@ -78,7 +78,7 @@ func (sh *shard) dumpFlight(tn *tenant, reason string) {
 		Pid:         pid,
 		Deaths:      tn.deaths,
 		Tenant:      rowFor(tn),
-		Spans:       sh.spans.ForRoute(tn.cfg.Route, sh.cfg.FlightSpans),
+		Spans:       sh.spans.ForRoute(tn.cfg.Route, flightSpans),
 		SpanTotal:   sh.spans.Total(),
 		SpanDropped: sh.spans.Dropped(),
 	}
@@ -93,8 +93,8 @@ func (sh *shard) dumpFlight(tn *tenant, reason string) {
 		}
 		dump.Events = append(dump.Events, line)
 	}
-	if n := len(dump.Events); n > sh.cfg.FlightEvents {
-		dump.Events = dump.Events[n-sh.cfg.FlightEvents:]
+	if n := len(dump.Events); n > flightEvents {
+		dump.Events = dump.Events[n-flightEvents:]
 	}
 	dump.TraceDropped = sh.vm.Tel.Trace.Dropped()
 

@@ -31,8 +31,7 @@ func parseResult(t *testing.T, body string) int64 {
 // observationally equivalent to running the clinit, all the way out to
 // the HTTP response.
 func TestServeTemplateForkCorrectness(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	s, base := startServer(t, vm, Config{}, []TenantConfig{
+	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{
 		{Route: "/classic", Warm: true, WorkUnits: 50},
 		{Route: "/zygote", Warm: true, WorkUnits: 50, Template: true},
 	})
@@ -72,8 +71,7 @@ func TestServeTemplateRestartForksFromZygote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := newVM(t, core.Config{Faults: faults.NewPlane(plan)})
-	s, base := startServer(t, vm,
+	s, vm, base := startServer(t, core.Config{Faults: faults.NewPlane(plan)},
 		Config{RestartBackoff: 2 * time.Millisecond},
 		[]TenantConfig{{Route: "/z", Warm: true, Template: true, WorkUnits: 30}})
 	defer func() {
@@ -128,8 +126,7 @@ func TestServeTemplateRestartForksFromZygote(t *testing.T) {
 // process, no zygote, nothing until the first request — which then pays
 // one checkpoint plus one fork and is answered 200.
 func TestServeLazyScaleFromZero(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	s, base := startServer(t, vm, Config{}, []TenantConfig{
+	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{
 		{Route: "/cold", Warm: true, Template: true, Lazy: true, WorkUnits: 20},
 	})
 	defer func() {

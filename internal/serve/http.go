@@ -29,41 +29,50 @@ func (s *Server) handler() http.Handler {
 	return mux
 }
 
-// serveRequest is the per-request path: route to a tenant, hand off to
-// the owning shard's engine loop, wait for the single guaranteed
-// response. The handler goroutine never touches a VM.
+// serveRequest is the per-request HTTP path: route to a tenant, read the
+// body, and make the round trip. The handler goroutine never touches a VM.
 func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request) {
 	tn := s.byRoute[r.URL.Path]
 	if tn == nil {
 		http.NotFound(w, r)
 		return
 	}
-	if s.closing.Load() {
-		writeResponse(w, tn, response{status: http.StatusServiceUnavailable, body: "shed: server shutting down\n"})
-		return
-	}
 	t0 := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return
+	}
+	resp := s.roundTrip(tn, body, t0)
+	w.Header().Set("X-Kaffeos-Tenant", tn.cfg.Name)
+	if resp.pid != 0 {
+		w.Header().Set("X-Kaffeos-Pid", strconv.Itoa(int(resp.pid)))
+	}
+	w.WriteHeader(resp.status)
+	_, _ = io.WriteString(w, resp.body)
+}
+
+// roundTrip hands one request to the owning shard's engine loop and waits
+// for the single guaranteed response. t0 is the wall-clock accept time.
+func (s *Server) roundTrip(tn *tenant, body []byte, t0 time.Time) response {
+	if s.closing.Load() {
+		return response{status: http.StatusServiceUnavailable, body: "shed: server shutting down\n"}
 	}
 	sh := tn.sh.Load()
 	req := sh.newRequest(tn, body, t0)
 	select {
 	case sh.submit <- req:
 	default:
-		writeResponse(w, tn, sh.socketShed(req))
-		return
+		return sh.socketShed(req)
 	}
 	select {
 	case resp := <-req.resp:
-		writeResponse(w, tn, resp)
+		return resp
 	case <-time.After(time.Until(req.deadline) + 5*time.Second):
 		// Defence in depth: the engine's expire pass answers every request
 		// by its deadline, so this fires only if the engine loop itself is
 		// gone. Still: never hang a client.
-		writeResponse(w, tn, response{status: http.StatusServiceUnavailable, body: "shed: engine unresponsive\n"})
+		return response{status: http.StatusServiceUnavailable, body: "shed: engine unresponsive\n"}
 	}
 }
 
@@ -110,39 +119,15 @@ func (sh *shard) socketShed(req *request) response {
 // Do injects one request into the serving plane without a socket: same
 // admission control, dispatch, span accounting, and single-response
 // guarantee as an HTTP request, minus the TCP/HTTP layer. The server must
-// be started. Used by benchmarks and tests to measure the engine path in
-// isolation.
+// be started. Figure 4's real-VM arm, benchmarks and tests drive the
+// engine path through it.
 func (s *Server) Do(route string, body []byte) (status int, respBody string) {
 	tn := s.byRoute[route]
 	if tn == nil {
 		return http.StatusNotFound, ""
 	}
-	if s.closing.Load() {
-		return http.StatusServiceUnavailable, "shed: server shutting down\n"
-	}
-	sh := tn.sh.Load()
-	req := sh.newRequest(tn, body, time.Now())
-	select {
-	case sh.submit <- req:
-	default:
-		resp := sh.socketShed(req)
-		return resp.status, resp.body
-	}
-	select {
-	case resp := <-req.resp:
-		return resp.status, resp.body
-	case <-time.After(time.Until(req.deadline) + 5*time.Second):
-		return http.StatusServiceUnavailable, "shed: engine unresponsive\n"
-	}
-}
-
-func writeResponse(w http.ResponseWriter, tn *tenant, resp response) {
-	w.Header().Set("X-Kaffeos-Tenant", tn.cfg.Name)
-	if resp.pid != 0 {
-		w.Header().Set("X-Kaffeos-Pid", strconv.Itoa(int(resp.pid)))
-	}
-	w.WriteHeader(resp.status)
-	_, _ = io.WriteString(w, resp.body)
+	resp := s.roundTrip(tn, body, time.Now())
+	return resp.status, resp.body
 }
 
 // TenantRow is one tenant's lifetime serving statistics, aggregated
@@ -175,7 +160,7 @@ func rowFor(tn *tenant) TenantRow {
 	row := TenantRow{
 		Route:      tn.cfg.Route,
 		Name:       tn.cfg.Name,
-		Role:       tn.role(),
+		Role:       tn.prog.role,
 		Shard:      tn.sh.Load().id,
 		Requests:   tn.reqs.Value(),
 		OK:         tn.okCount.Value(),
@@ -192,9 +177,9 @@ func rowFor(tn *tenant) TenantRow {
 	if p := tn.currentProc(); p != nil {
 		row.Pid = int32(p.ID)
 		row.Up = p.State() == core.ProcRunning
-		row.MemUse = p.MemUse()
-		// The controller moves limits at runtime; report the live one.
-		row.MemLimit = p.Limit.Max()
+		// The controller moves limits at runtime; report the live one,
+		// paired with the use it was read beside.
+		row.MemUse, row.MemLimit = p.Limit.Load()
 	}
 	return row
 }

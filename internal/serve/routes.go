@@ -11,15 +11,16 @@ import (
 //
 //	path[:attr[:attr...]]
 //
-// where each attr is "hog", "servlet" or "warm" (role), "norestart",
-// "template" (fork incarnations from a checkpointed zygote), "lazy"
-// (scale-from-zero: start on first request), or an integer memlimit in
-// KiB. Examples:
+// where each attr is "hog", "servlet", "warm" or "wide" (role),
+// "norestart", "template" (fork incarnations from a checkpointed zygote),
+// "lazy" (scale-from-zero: start on first request), or an integer
+// memlimit in KiB. Examples:
 //
 //	/zone0,/zone1,/zone2
 //	/a,/b:8192,/memhog:hog:1024
 //	/once:hog:512:norestart
 //	/fast:warm:template:lazy
+//	/big:wide:8192
 func ParseRoutes(spec string) ([]TenantConfig, error) {
 	var out []TenantConfig
 	seen := make(map[string]bool)

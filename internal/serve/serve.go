@@ -98,6 +98,29 @@ type TenantConfig struct {
 	Lazy bool
 }
 
+// program is what a tenant process runs: the servlet's entry class, its
+// module, and the role name TenantRow.Role and the serve.role scope
+// annotation report.
+type program struct {
+	class  string
+	module func() *bytecode.Module
+	role   string
+}
+
+// program maps the (mutually exclusive) kind flags to the servlet they
+// select.
+func (c *TenantConfig) program() program {
+	switch {
+	case c.Hog:
+		return program{jserv.NetHogClass, jserv.NetHogModule, "memhog"}
+	case c.Warm:
+		return program{jserv.NetWarmClass, jserv.NetWarmModule, "warm"}
+	case c.Wide:
+		return program{jserv.NetWideClass, jserv.NetWideModule, "wide"}
+	}
+	return program{jserv.NetServletClass, jserv.NetServletModule, "servlet"}
+}
+
 func (c *TenantConfig) fill() error {
 	if c.Route == "" || c.Route[0] != '/' || c.Route == "/serve" || c.Route == "/healthz" {
 		return fmt.Errorf("serve: invalid route %q", c.Route)
@@ -186,30 +209,20 @@ func hashShard(route string, n int) int {
 
 // Config parameterizes the server.
 type Config struct {
-	// Shards is how many engine shards NewSharded builds, each with its
-	// own VM, scheduler, heap registry and GC workers (default
-	// GOMAXPROCS). New always uses exactly one shard — the caller's VM.
+	// Shards is how many engine shards the server runs, each with its own
+	// VM, scheduler, heap registry and GC workers (default GOMAXPROCS).
+	// One shard is the single-VM plane.
 	Shards int
 	// Place chooses the shard for each route at registration time; nil
 	// hash-assigns routes (stable across restarts). See LeastLoaded.
 	Place func(route string, loads []ShardLoad) int
-	// SliceCycles is the scheduler budget per engine-loop iteration
-	// (default one quantum, 100k cycles = 0.2 virtual ms): small enough
-	// that new arrivals are admitted promptly while requests execute.
-	SliceCycles uint64
-	// SubmitBuffer bounds each shard's socket→engine handoff channel; a
-	// full buffer sheds with 503 at the HTTP layer (default 256).
-	SubmitBuffer int
 	// RequestTimeout is the per-request wall-clock deadline. Whatever
 	// happens to the tenant, the client hears back within it
 	// (default 30s).
 	RequestTimeout time.Duration
 	// RestartBackoff is the supervisor's initial restart delay, doubled
-	// per consecutive death up to MaxBackoff (defaults 10ms / 2s).
+	// per consecutive death up to maxBackoff (default 10ms).
 	RestartBackoff time.Duration
-	MaxBackoff     time.Duration
-	// MaxBody caps the request body size (default 1 MiB).
-	MaxBody int64
 
 	// MemBudget, when nonzero, turns on the MemBalancer controller: the
 	// budget is split evenly across shards (each shard VM runs its own
@@ -221,49 +234,43 @@ type Config struct {
 
 	// FlightDir, when non-empty, enables the flight recorder: on every
 	// tenant death (and on shed storms, throttled to one dump per
-	// FlightMinGap) the owning shard's engine writes a post-mortem JSON
+	// flightMinGap) the owning shard's engine writes a post-mortem JSON
 	// artifact there with the tenant's last spans, its recent trace
 	// events, and its lifetime counters.
 	FlightDir string
-	// FlightSpans / FlightEvents bound how many spans and events one dump
-	// carries (defaults 256 / 512).
-	FlightSpans  int
-	FlightEvents int
-	// FlightMinGap throttles shed-triggered dumps (default 5s). Death
-	// dumps are never throttled.
-	FlightMinGap time.Duration
 }
+
+// Engine constants: limits nobody has needed to choose differently.
+const (
+	// sliceCycles is the scheduler budget per engine-loop iteration (one
+	// quantum, 0.2 virtual ms): small enough that new arrivals are
+	// admitted promptly while requests execute.
+	sliceCycles = 100_000
+	// submitBuffer bounds each shard's socket→engine handoff channel; a
+	// full buffer sheds with 503 at the HTTP layer.
+	submitBuffer = 256
+	// maxBackoff is the ceiling of the supervisor's restart-delay ladder.
+	maxBackoff = 2 * time.Second
+	// maxBody caps the request body size.
+	maxBody = 1 << 20
+	// flightSpans / flightEvents bound how many spans and events one
+	// flight dump carries.
+	flightSpans  = 256
+	flightEvents = 512
+	// flightMinGap throttles shed-triggered dumps per tenant. Death dumps
+	// are never throttled.
+	flightMinGap = 5 * time.Second
+)
 
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.SliceCycles == 0 {
-		c.SliceCycles = 100_000
-	}
-	if c.SubmitBuffer <= 0 {
-		c.SubmitBuffer = 256
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
-	}
-	if c.FlightSpans <= 0 {
-		c.FlightSpans = 256
-	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = 512
-	}
-	if c.FlightMinGap <= 0 {
-		c.FlightMinGap = 5 * time.Second
 	}
 }
 
@@ -304,8 +311,9 @@ type request struct {
 // the HTTP layer loads it to find the submit channel, and Migrate swaps
 // it when the tenant moves.
 type tenant struct {
-	cfg TenantConfig
-	sh  atomic.Pointer[shard]
+	cfg  TenantConfig
+	prog program
+	sh   atomic.Pointer[shard]
 
 	mu   sync.Mutex // guards proc/scope swap (engine writes, HTTP reads)
 	proc *core.Process
@@ -333,42 +341,6 @@ type tenant struct {
 	// Flight-recorder state (owning engine goroutine only).
 	flightSeq      int
 	flightLastShed time.Time
-}
-
-func (t *tenant) handlerClass() string {
-	switch {
-	case t.cfg.Hog:
-		return jserv.NetHogClass
-	case t.cfg.Warm:
-		return jserv.NetWarmClass
-	case t.cfg.Wide:
-		return jserv.NetWideClass
-	}
-	return jserv.NetServletClass
-}
-
-func (t *tenant) handlerModule() *bytecode.Module {
-	switch {
-	case t.cfg.Hog:
-		return jserv.NetHogModule()
-	case t.cfg.Warm:
-		return jserv.NetWarmModule()
-	case t.cfg.Wide:
-		return jserv.NetWideModule()
-	}
-	return jserv.NetServletModule()
-}
-
-func (t *tenant) role() string {
-	switch {
-	case t.cfg.Hog:
-		return "memhog"
-	case t.cfg.Warm:
-		return "warm"
-	case t.cfg.Wide:
-		return "wide"
-	}
-	return "servlet"
 }
 
 // proc reads the tenant's current process (HTTP-side safe).
@@ -414,25 +386,19 @@ type Server struct {
 	migrateMu sync.Mutex // serializes Migrate calls
 }
 
-// New builds a single-shard server over the caller's vm — the original
-// serving-plane shape, kept for embedders, tests and benchmarks that want
-// to own the VM. The VM must be otherwise idle: once Start is called the
-// shard's engine loop owns its scheduler exclusively. Config.Shards is
-// ignored (it is always 1 here); use NewSharded for a multi-core plane.
-func New(vm *core.VM, cfg Config, tenants []TenantConfig) (*Server, error) {
-	cfg.Shards = 1
-	return newServer([]*core.VM{vm}, cfg, tenants)
-}
-
 // NewSharded builds a server with cfg.Shards engine shards (default
-// GOMAXPROCS), creating one VM per shard from vmCfg. vmCfg.Telemetry must
-// be nil: every shard gets its own hub, and the introspection surface
-// (TelemetryHandler) aggregates them under a shard label. Tenants are
-// assigned to shards by cfg.Place (hash of the route when nil).
+// GOMAXPROCS), creating one VM per shard from vmCfg; callers reach them
+// through VMs. vmCfg.Telemetry must be nil: every shard gets its own hub,
+// and the introspection surface (ServeTelemetry) aggregates them under a
+// shard label. Tenants are assigned to shards by cfg.Place (hash of the
+// route when nil).
 func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server, error) {
 	cfg.fill()
 	if vmCfg.Telemetry != nil {
 		return nil, fmt.Errorf("serve: NewSharded needs one telemetry hub per shard; leave vmCfg.Telemetry nil")
+	}
+	if len(tenants) == 0 {
+		return nil, fmt.Errorf("serve: no tenants")
 	}
 	if cfg.MemBudget > 0 {
 		// Each shard VM runs its own controller over an even slice of the
@@ -440,28 +406,15 @@ func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server,
 		// no cross-shard coordination is needed.
 		vmCfg.MemBudget = cfg.MemBudget / uint64(cfg.Shards)
 	}
-	vms := make([]*core.VM, cfg.Shards)
-	for i := range vms {
-		vm, err := core.NewVM(vmCfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d VM: %w", i, err)
-		}
-		vms[i] = vm
-	}
-	return newServer(vms, cfg, tenants)
-}
-
-func newServer(vms []*core.VM, cfg Config, tenants []TenantConfig) (*Server, error) {
-	cfg.fill()
-	cfg.Shards = len(vms)
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("serve: no tenants")
-	}
 	s := &Server{
 		cfg:     cfg,
 		byRoute: make(map[string]*tenant),
 	}
-	for i, vm := range vms {
+	for i := 0; i < cfg.Shards; i++ {
+		vm, err := core.NewVM(vmCfg)
+		if err != nil {
+			return nil, fmt.Errorf("serve: shard %d VM: %w", i, err)
+		}
 		s.shards = append(s.shards, newShard(i, vm, cfg))
 	}
 	// Placement: hash by default, cfg.Place for load-aware assignment.
@@ -483,7 +436,7 @@ func newServer(vms []*core.VM, cfg Config, tenants []TenantConfig) (*Server, err
 		} else {
 			idx = hashShard(tc.Route, len(s.shards))
 		}
-		tn := &tenant{cfg: tc}
+		tn := &tenant{cfg: tc, prog: tc.program()}
 		tn.sh.Store(s.shards[idx])
 		s.shards[idx].tenants = append(s.shards[idx].tenants, tn)
 		s.tenants = append(s.tenants, tn)
@@ -524,14 +477,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr reports the bound listen address.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Shards reports how many engine shards the server runs.
 func (s *Server) Shards() int { return len(s.shards) }
 
@@ -544,6 +489,17 @@ func (s *Server) VMs() []*core.VM {
 		out[i] = sh.vm
 	}
 	return out
+}
+
+// ServeTelemetry starts the HTTP introspection surface over every shard's
+// VM on addr (see telemetry.Handler for the endpoints) and returns the
+// bound address.
+func (s *Server) ServeTelemetry(addr string) (string, error) {
+	sources := make([]telemetry.Source, len(s.shards))
+	for i, sh := range s.shards {
+		sources[i] = sh.vm.TelemetrySource()
+	}
+	return telemetry.Serve(addr, sources)
 }
 
 // ShardOf reports which shard currently owns route (-1 if unknown).

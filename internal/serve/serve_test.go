@@ -16,29 +16,25 @@ import (
 	"repro/internal/faults"
 )
 
-func newVM(t *testing.T, cfg core.Config) *core.VM {
+// startServer builds and starts a plane — one shard unless cfg says
+// otherwise, the single-VM case — and returns it with shard 0's VM.
+func startServer(t *testing.T, vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server, *core.VM, string) {
 	t.Helper()
-	if cfg.Engine == "" {
-		cfg.Engine = core.EngineJITOpt
+	if vmCfg.Engine == "" {
+		vmCfg.Engine = core.EngineJITOpt
 	}
-	vm, err := core.NewVM(cfg)
-	if err != nil {
-		t.Fatalf("NewVM: %v", err)
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
 	}
-	return vm
-}
-
-func startServer(t *testing.T, vm *core.VM, cfg Config, tenants []TenantConfig) (*Server, string) {
-	t.Helper()
-	s, err := New(vm, cfg, tenants)
+	s, err := NewSharded(vmCfg, cfg, tenants)
 	if err != nil {
-		t.Fatalf("serve.New: %v", err)
+		t.Fatalf("NewSharded: %v", err)
 	}
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	return s, "http://" + addr
+	return s, s.VMs()[0], "http://" + addr
 }
 
 func get(t *testing.T, client *http.Client, url, body string) (int, string) {
@@ -65,8 +61,7 @@ func auditOK(t *testing.T, vm *core.VM) {
 // TestServeSingleRequest is the smoke test: one tenant, one request, a
 // deterministic checksum back, clean teardown.
 func TestServeSingleRequest(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	s, base := startServer(t, vm, Config{}, []TenantConfig{{Route: "/t0", WorkUnits: 10}})
+	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{{Route: "/t0", WorkUnits: 10}})
 	status, body := get(t, http.DefaultClient, base+"/t0", "hello")
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, body %q", status, body)
@@ -99,8 +94,6 @@ func TestServeSingleRequest(t *testing.T) {
 // at a workspace path and uploads the dumps as artifacts when the job
 // fails, so a red run ships its own post-mortems.
 func TestServeE2E(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	vm.Tel.Spans.SetEnabled(true)
 	flightDir := os.Getenv("SERVE_E2E_FLIGHT_DIR")
 	if flightDir == "" {
 		flightDir = t.TempDir()
@@ -116,7 +109,8 @@ func TestServeE2E(t *testing.T) {
 		// MemHog scenario the serving plane must degrade around.
 		{Route: "/hog", Hog: true, MemKB: 1024, QueueMax: 32, ShedFraction: -1},
 	}
-	s, base := startServer(t, vm, Config{RequestTimeout: 20 * time.Second, FlightDir: flightDir}, tenants)
+	s, vm, base := startServer(t, core.Config{}, Config{RequestTimeout: 20 * time.Second, FlightDir: flightDir}, tenants)
+	vm.Tel.Spans.SetEnabled(true)
 
 	const (
 		total   = 10_000
@@ -215,8 +209,7 @@ func TestServeFaultKillMidRequest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
-	vm := newVM(t, core.Config{Faults: faults.NewPlane(plan)})
-	s, base := startServer(t, vm,
+	s, vm, base := startServer(t, core.Config{Faults: faults.NewPlane(plan)},
 		Config{RestartBackoff: 5 * time.Millisecond},
 		[]TenantConfig{
 			{Route: "/victim", WorkUnits: 10},
@@ -262,8 +255,7 @@ func TestServeFaultKillMidRequest(t *testing.T) {
 // TestServeShedNeverHangs saturates a tenant with a tiny queue and slow
 // requests: overload must answer promptly with 503, not block.
 func TestServeShedNeverHangs(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	s, base := startServer(t, vm,
+	s, vm, base := startServer(t, core.Config{},
 		Config{RequestTimeout: 2 * time.Second},
 		[]TenantConfig{{Route: "/slow", WorkUnits: 2_000_000, QueueMax: 2, MaxInflight: 1}})
 	defer func() {
@@ -319,8 +311,7 @@ func TestServeNoRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
-	vm := newVM(t, core.Config{Faults: faults.NewPlane(plan)})
-	s, base := startServer(t, vm, Config{},
+	s, vm, base := startServer(t, core.Config{Faults: faults.NewPlane(plan)}, Config{},
 		[]TenantConfig{{Route: "/once", WorkUnits: 10, NoRestart: true}})
 	defer func() {
 		if err := s.Close(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/interp"
@@ -59,7 +60,7 @@ func newShard(id int, vm *core.VM, cfg Config) *shard {
 		vm:       vm,
 		cfg:      cfg,
 		zygotes:  make(map[string]*core.Template),
-		submit:   make(chan *request, cfg.SubmitBuffer),
+		submit:   make(chan *request, submitBuffer),
 		ctrl:     make(chan func(), 8),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -111,7 +112,7 @@ func (sh *shard) startTenant(tn *tenant) error {
 	if tn.cfg.Template {
 		p, err = sh.forkTenant(tn)
 	} else {
-		p, err = sh.initTenant(tn)
+		p, err = sh.initTenant(tn, tn.cfg.Name)
 	}
 	if err != nil {
 		return err
@@ -127,7 +128,7 @@ func (sh *shard) startTenant(tn *tenant) error {
 	}
 	scope := sh.vm.Tel.Reg.Proc(int32(p.ID))
 	scope.SetMeta("serve.route", tn.cfg.Route)
-	scope.SetMeta("serve.role", tn.role())
+	scope.SetMeta("serve.role", tn.prog.role)
 	scope.SetMeta("serve.shard", fmt.Sprint(sh.id))
 	origin := "init"
 	if tn.cfg.Template {
@@ -145,70 +146,51 @@ func (sh *shard) startTenant(tn *tenant) error {
 	return nil
 }
 
-// initTenant is the classic cold start: a fresh process that loads and
-// initializes the handler and keeper programs from bytecode.
-func (sh *shard) initTenant(tn *tenant) (*core.Process, error) {
-	p, err := sh.vm.NewProcess(tn.cfg.Name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
+// initTenant is the classic cold start: a fresh process named name that
+// loads and initializes the tenant's handler and keeper programs from
+// bytecode (module loads run the clinits on the bootstrap thread; no
+// scheduler threads are spawned).
+func (sh *shard) initTenant(tn *tenant, name string) (*core.Process, error) {
+	p, err := sh.vm.NewProcess(name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
 	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %s: %w", tn.cfg.Name, err)
+		return nil, fmt.Errorf("serve: tenant %s: %w", name, err)
 	}
-	if err := p.Load(tn.handlerModule()); err != nil {
-		p.Kill(nil)
-		return nil, fmt.Errorf("serve: tenant %s: %w", tn.cfg.Name, err)
-	}
-	if err := p.Load(jserv.KeeperModule()); err != nil {
-		p.Kill(nil)
-		return nil, fmt.Errorf("serve: tenant %s: %w", tn.cfg.Name, err)
+	for _, mod := range []*bytecode.Module{tn.prog.module(), jserv.KeeperModule()} {
+		if err := p.Load(mod); err != nil {
+			p.Kill(nil)
+			return nil, fmt.Errorf("serve: tenant %s: %w", name, err)
+		}
 	}
 	return p, nil
 }
 
 // forkTenant stamps out the tenant's incarnation from the shard's zygote
 // template for its program shape, building (and caching) the template
-// first if this is the shape's first start on this shard. The clone gets
-// its own pid, heap and memlimit — charged in full for the copied bytes —
-// and has never run a clinit: the warmup happened once, in the zygote.
+// first if this is the shape's first start on this shard: warm a
+// quiescent process, checkpoint it, and kill the origin — the template
+// stands on its own. The clone gets its own pid, heap and memlimit —
+// charged in full for the copied bytes — and has never run a clinit: the
+// warmup happened once, in the zygote.
 func (sh *shard) forkTenant(tn *tenant) (*core.Process, error) {
-	tpl, err := sh.zygote(tn)
-	if err != nil {
-		return nil, err
+	key := tn.prog.class
+	tpl, ok := sh.zygotes[key]
+	if !ok {
+		origin, err := sh.initTenant(tn, "zygote-"+tn.cfg.Name)
+		if err != nil {
+			return nil, err
+		}
+		tpl, err = sh.vm.Checkpoint(origin, key)
+		origin.Kill(nil) // threadless: reclaims inline
+		if err != nil {
+			return nil, fmt.Errorf("serve: zygote for %s: checkpoint: %w", tn.cfg.Name, err)
+		}
+		sh.zygotes[key] = tpl
 	}
 	p, err := tpl.Fork(tn.cfg.Name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %s: fork from %s: %w", tn.cfg.Name, tpl.Name, err)
 	}
 	return p, nil
-}
-
-// zygote returns the shard's warm template for tn's program shape,
-// creating it on first use: warm a quiescent process (module loads run
-// the clinits on the bootstrap thread; no scheduler threads are spawned),
-// checkpoint it, and kill the origin — the template stands on its own.
-func (sh *shard) zygote(tn *tenant) (*core.Template, error) {
-	key := tn.handlerClass()
-	if tpl, ok := sh.zygotes[key]; ok {
-		return tpl, nil
-	}
-	origin, err := sh.vm.NewProcess("zygote-"+tn.cfg.Name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
-	if err != nil {
-		return nil, fmt.Errorf("serve: zygote for %s: %w", tn.cfg.Name, err)
-	}
-	if err := origin.Load(tn.handlerModule()); err != nil {
-		origin.Kill(nil)
-		return nil, fmt.Errorf("serve: zygote for %s: %w", tn.cfg.Name, err)
-	}
-	if err := origin.Load(jserv.KeeperModule()); err != nil {
-		origin.Kill(nil)
-		return nil, fmt.Errorf("serve: zygote for %s: %w", tn.cfg.Name, err)
-	}
-	tpl, err := sh.vm.Checkpoint(origin, key)
-	if err != nil {
-		origin.Kill(nil)
-		return nil, fmt.Errorf("serve: zygote for %s: checkpoint: %w", tn.cfg.Name, err)
-	}
-	origin.Kill(nil) // threadless: reclaims inline
-	sh.zygotes[key] = tpl
-	return tpl, nil
 }
 
 // publish mirrors the tenant's lifetime aggregates into the current
@@ -249,7 +231,7 @@ func (sh *shard) loop() {
 		sh.checkRestarts(now)
 		running := sh.dispatchAll()
 		if running > 0 {
-			if err := sh.vm.Run(sh.cfg.SliceCycles); err != nil {
+			if err := sh.vm.Run(sliceCycles); err != nil {
 				sh.runErrs.Inc()
 			}
 		} else {
@@ -332,8 +314,9 @@ func (sh *shard) admit(r *request) {
 			// not the static MemKB it started with: when the memory
 			// balancer governs the shard, a tenant's ceiling moves every
 			// rebalance round and admission control must move with it.
-			high := tn.cfg.ShedFraction * float64(p.Limit.Max())
-			if float64(p.MemUse()) > high {
+			use, max := p.Limit.Load()
+			high := tn.cfg.ShedFraction * float64(max)
+			if float64(use) > high {
 				// Distinguish garbage from live data before refusing: a
 				// collection (charged to the tenant) saves a well-behaved
 				// neighbour; a hog's vector stays live and the shed stands.
@@ -473,7 +456,7 @@ func (sh *shard) dispatch(tn *tenant) {
 		if r.span != nil {
 			r.span.MarshalNs = time.Since(m0).Nanoseconds()
 		}
-		th, err := p.Spawn(tn.handlerClass(), jserv.NetHandleKey,
+		th, err := p.Spawn(tn.prog.class, jserv.NetHandleKey,
 			interp.RefSlot(arr), interp.IntSlot(int64(tn.cfg.WorkUnits)))
 		if err != nil {
 			sh.shed(r, "tenant not accepting requests")
@@ -599,8 +582,8 @@ func (sh *shard) markDown(tn *tenant, now time.Time) {
 	sh.dumpFlight(tn, "death")
 	if !tn.cfg.NoRestart {
 		backoff := sh.cfg.RestartBackoff << uint(tn.deaths-1)
-		if backoff > sh.cfg.MaxBackoff || backoff <= 0 {
-			backoff = sh.cfg.MaxBackoff
+		if backoff > maxBackoff || backoff <= 0 {
+			backoff = maxBackoff
 		}
 		tn.nextRestart = now.Add(backoff)
 	}
@@ -622,7 +605,7 @@ func (sh *shard) checkRestarts(now time.Time) {
 		if err := sh.startTenant(tn); err != nil {
 			// Could not restart (e.g. memory still held by the dying
 			// incarnation): back off again.
-			tn.nextRestart = now.Add(sh.cfg.MaxBackoff)
+			tn.nextRestart = now.Add(maxBackoff)
 			continue
 		}
 		tn.restarts.Inc()
@@ -765,15 +748,7 @@ func (sh *shard) nextWake() (time.Duration, bool) {
 // quiescent for post-teardown audits.
 func (sh *shard) shutdown() {
 	sh.drainCtrl()
-	for {
-		select {
-		case r := <-sh.submit:
-			sh.respond(r, http.StatusServiceUnavailable, "shed: server shutting down\n")
-			continue
-		default:
-		}
-		break
-	}
+	sh.refuseSubmitted()
 	for _, tn := range sh.tenants {
 		for _, r := range tn.queue {
 			sh.respond(r, http.StatusServiceUnavailable, "shed: server shutting down\n")
@@ -808,13 +783,17 @@ func (sh *shard) shutdown() {
 	}
 	// One last sweep: submissions that raced in while we were tearing
 	// tenants down (Close's straggler goroutines cover anything later).
+	sh.refuseSubmitted()
+}
+
+// refuseSubmitted answers everything waiting in the submit buffer 503.
+func (sh *shard) refuseSubmitted() {
 	for {
 		select {
 		case r := <-sh.submit:
 			sh.respond(r, http.StatusServiceUnavailable, "shed: server shutting down\n")
-			continue
 		default:
+			return
 		}
-		break
 	}
 }

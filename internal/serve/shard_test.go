@@ -11,20 +11,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 func startSharded(t *testing.T, shards int, cfg Config, tenants []TenantConfig) (*Server, string) {
 	t.Helper()
 	cfg.Shards = shards
-	s, err := NewSharded(core.Config{Engine: core.EngineJITOpt}, cfg, tenants)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	return s, "http://" + addr
+	s, _, base := startServer(t, core.Config{}, cfg, tenants)
+	return s, base
 }
 
 func auditAllShards(t *testing.T, s *Server) {
@@ -361,8 +355,7 @@ func TestPlacement(t *testing.T) {
 // TestNewShardedRejectsSharedHub: per-shard hubs are structural — a
 // caller-supplied hub would silently serialize all shards' telemetry.
 func TestNewShardedRejectsSharedHub(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	_, err := NewSharded(core.Config{Engine: core.EngineJITOpt, Telemetry: vm.Tel},
+	_, err := NewSharded(core.Config{Engine: core.EngineJITOpt, Telemetry: telemetry.NewHub(0)},
 		Config{Shards: 2}, []TenantConfig{{Route: "/a"}})
 	if err == nil {
 		t.Error("NewSharded with shared hub: want error")

@@ -21,12 +21,11 @@ import (
 // populated, the kernel phase histograms agree with the recorder, and
 // the /spans endpoint serves the same spans as JSONL.
 func TestServeSpanLedger(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	vm.Tel.Spans.SetEnabled(true)
-	s, base := startServer(t, vm, Config{}, []TenantConfig{
+	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{
 		{Route: "/fast", WorkUnits: 20},
 		{Route: "/hog", Hog: true, MemKB: 1024, QueueMax: 32},
 	})
+	vm.Tel.Spans.SetEnabled(true)
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -112,7 +111,7 @@ func TestServeSpanLedger(t *testing.T) {
 	}
 
 	// /spans serves the same ledger as JSONL.
-	ts := httptest.NewServer(vm.Tel.Handler(vm.Snapshot))
+	ts := httptest.NewServer(telemetry.Handler([]telemetry.Source{vm.TelemetrySource()}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/spans")
 	if err != nil {
@@ -139,8 +138,7 @@ func TestServeSpanLedger(t *testing.T) {
 // TestServeSpansOffZeroFootprint: with recording off (the default), no
 // spans are retained and no ids are minted — the off path must stay free.
 func TestServeSpansOffZeroFootprint(t *testing.T) {
-	vm := newVM(t, core.Config{})
-	s, base := startServer(t, vm, Config{}, []TenantConfig{{Route: "/t", WorkUnits: 10}})
+	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{{Route: "/t", WorkUnits: 10}})
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -169,16 +167,15 @@ func TestServeFlightRecorderOnDeath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
-	vm := newVM(t, core.Config{Faults: faults.NewPlane(plan)})
-	vm.Tel.SetTracing(true)
-	vm.Tel.Spans.SetEnabled(true)
 	dir := t.TempDir()
-	s, base := startServer(t, vm,
+	s, vm, base := startServer(t, core.Config{Faults: faults.NewPlane(plan)},
 		Config{RestartBackoff: 5 * time.Millisecond, FlightDir: dir},
 		[]TenantConfig{
 			{Route: "/victim", WorkUnits: 10},
 			{Route: "/bystander", WorkUnits: 10},
 		})
+	vm.Tel.SetTracing(true)
+	vm.Tel.Spans.SetEnabled(true)
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

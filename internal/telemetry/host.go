@@ -5,8 +5,7 @@ import "runtime"
 // HostInfo describes the machine a benchmark artifact was produced on.
 // Bench harnesses embed it in their JSON output so numbers are
 // self-describing: a 1-core host cannot show parallel-GC overlap, a
-// GOMAXPROCS-limited run cannot show allocation contention, and so on
-// (BENCH_gc.json had to explain this by hand once — never again).
+// GOMAXPROCS-limited run cannot show allocation contention, and so on.
 type HostInfo struct {
 	Cores      int    `json:"cores"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

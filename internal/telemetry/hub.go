@@ -18,10 +18,6 @@ type Hub struct {
 	// clock supplies virtual-cycle timestamps. Set once during VM
 	// construction, before any concurrent emitter runs.
 	clock func() uint64
-	// auditor, when set, produces the /audit route's payload (a JSON-
-	// encodable invariant report; this package stays decoupled from the
-	// auditor's types). Set once during VM construction.
-	auditor func() any
 }
 
 // NewHub builds a hub with a fresh registry and a tracer of ringSize
@@ -33,10 +29,6 @@ func NewHub(ringSize int) *Hub {
 // SetClock installs the virtual-cycle clock used to stamp events that
 // arrive without a timestamp. Must be called before concurrent use.
 func (h *Hub) SetClock(clock func() uint64) { h.clock = clock }
-
-// SetAuditor installs the producer behind the /audit route. Must be called
-// before the HTTP surface starts serving.
-func (h *Hub) SetAuditor(fn func() any) { h.auditor = fn }
 
 // SetTracing switches event recording on or off. Metrics accumulate
 // either way.

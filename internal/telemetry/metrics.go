@@ -209,68 +209,6 @@ func (s *Scope) Meta(key string) string {
 	return s.meta[key]
 }
 
-// MetricsSnapshot is the JSON-ready dump of one scope.
-type MetricsSnapshot struct {
-	Pid        int32                 `json:"pid"`
-	Name       string                `json:"name"`
-	Meta       map[string]string     `json:"meta,omitempty"`
-	Counters   map[string]uint64     `json:"counters,omitempty"`
-	Gauges     map[string]uint64     `json:"gauges,omitempty"`
-	Histograms map[string]HistogramV `json:"histograms,omitempty"`
-}
-
-// HistogramV is the JSON view of a histogram.
-type HistogramV struct {
-	Count uint64 `json:"count"`
-	Sum   uint64 `json:"sum"`
-	Max   uint64 `json:"max"`
-	P50   uint64 `json:"p50"`
-	P99   uint64 `json:"p99"`
-}
-
-// Dump snapshots every metric of the scope.
-func (s *Scope) Dump() MetricsSnapshot {
-	s.mu.Lock()
-	name := s.Name
-	counters := make(map[string]*Counter, len(s.counters))
-	for k, v := range s.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(s.gauges))
-	for k, v := range s.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(s.hists))
-	for k, v := range s.hists {
-		hists[k] = v
-	}
-	meta := make(map[string]string, len(s.meta))
-	for k, v := range s.meta {
-		meta[k] = v
-	}
-	s.mu.Unlock()
-
-	out := MetricsSnapshot{
-		Pid: s.Pid, Name: name, Meta: meta,
-		Counters:   make(map[string]uint64, len(counters)),
-		Gauges:     make(map[string]uint64, len(gauges)),
-		Histograms: make(map[string]HistogramV, len(hists)),
-	}
-	for k, c := range counters {
-		out.Counters[k] = c.Value()
-	}
-	for k, g := range gauges {
-		out.Gauges[k] = g.Value()
-	}
-	for k, h := range hists {
-		out.Histograms[k] = HistogramV{
-			Count: h.Count(), Sum: h.Sum(), Max: h.Max(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-		}
-	}
-	return out
-}
-
 // Registry holds the kernel scope plus one scope per process ever seen.
 type Registry struct {
 	mu     sync.Mutex

@@ -80,36 +80,22 @@ func (h *Hub) syncDerived() {
 	}
 }
 
-// WritePrometheus renders every scope's metrics in Prometheus text
-// format: one family per metric name, HELP/TYPE emitted once, samples in
-// scope order (kernel first, then pids ascending).
-func (h *Hub) WritePrometheus(w io.Writer) error {
-	return WritePrometheusMulti(w, []LabeledHub{{Hub: h}})
-}
-
-// LabeledHub pairs a hub with extra labels (e.g. `shard="2"`) stamped on
-// every sample it contributes to a multi-hub exposition.
-type LabeledHub struct {
-	Hub    *Hub
-	Labels string
-}
-
-// WritePrometheusMulti renders several hubs' metrics as one exposition:
-// families are merged across hubs so HELP/TYPE appear exactly once, and
-// each hub's samples carry its extra labels. The sharded serving plane
-// uses it to aggregate per-shard VMs under a shard label.
-func WritePrometheusMulti(w io.Writer, hubs []LabeledHub) error {
+// WritePrometheus renders the hubs' metrics as one Prometheus text
+// exposition: one family per metric name — merged across hubs, so
+// HELP/TYPE appear exactly once — with samples in hub, then scope order
+// (kernel first, then pids ascending). Several hubs are told apart by a
+// shard="N" label, N being the hub's index; a lone hub needs none.
+func WritePrometheus(w io.Writer, hubs []*Hub) error {
 	counterFams := make(map[string][]scoped[*Counter])
 	gaugeFams := make(map[string][]scoped[*Gauge])
 	histFams := make(map[string][]scoped[*Histogram])
-	for _, lh := range hubs {
-		h := lh.Hub
+	for i, h := range hubs {
 		h.syncDerived()
 		scopes := append([]*Scope{h.Reg.Kernel()}, h.Reg.Procs()...)
 		for _, s := range scopes {
 			labels, counters, gauges, hists := s.metricRefs()
-			if lh.Labels != "" {
-				labels = lh.Labels + "," + labels
+			if len(hubs) > 1 {
+				labels = fmt.Sprintf(`shard="%d",%s`, i, labels)
 			}
 			for name, c := range counters {
 				counterFams[name] = append(counterFams[name], scoped[*Counter]{labels, c})

@@ -31,10 +31,26 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	hub.Reg.Proc(7).Counter(MGCCycles).Add(500)
 
 	var sb strings.Builder
-	if err := hub.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheus(&sb, []*Hub{hub}); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	text := sb.String()
+	typeOf := validateExposition(t, sb.String())
+
+	// Spot-check families that must be present, with the dotted metric
+	// names mapped to legal Prometheus names.
+	for _, want := range []string{"kaffeos_proc_created", "kaffeos_cpu_cycles",
+		"kaffeos_gc_pause_cycles", "kaffeos_trace_dropped", "kaffeos_span_dropped"} {
+		if _, ok := typeOf[want]; !ok {
+			t.Errorf("family %q missing from exposition", want)
+		}
+	}
+}
+
+// validateExposition checks text against the exposition rules listed on
+// TestPrometheusExpositionWellFormed and returns each family's declared
+// type. The HTTP surface test runs it on what /metrics actually serves.
+func validateExposition(t *testing.T, text string) (typeOf map[string]string) {
+	t.Helper()
 	if !strings.HasSuffix(text, "\n") {
 		t.Error("exposition must end with a newline")
 	}
@@ -44,7 +60,7 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{([^}]*)\})? (-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|\+Inf|NaN)$`)
 		labelRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$`)
 	)
-	typeOf := map[string]string{} // family -> counter|gauge|histogram
+	typeOf = map[string]string{} // family -> counter|gauge|histogram
 	sampleSeen := map[string]bool{}
 	// bucket series key -> cumulative counts in order of appearance
 	type bucketSeries struct {
@@ -146,15 +162,6 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		}
 	}
 
-	// Spot-check families that must be present, with the dotted metric
-	// names mapped to legal Prometheus names.
-	for _, want := range []string{"kaffeos_proc_created", "kaffeos_cpu_cycles",
-		"kaffeos_gc_pause_cycles", "kaffeos_trace_dropped", "kaffeos_span_dropped"} {
-		if _, ok := typeOf[want]; !ok {
-			t.Errorf("family %q missing from exposition", want)
-		}
-	}
-
 	// Histogram invariants: buckets cumulative and +Inf == _count.
 	if len(buckets) == 0 {
 		t.Fatal("no histogram bucket series found")
@@ -182,6 +189,7 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 			t.Errorf("series %s: +Inf bucket %d != _count %d", key, bs.inf, cnt)
 		}
 	}
+	return typeOf
 }
 
 // splitLabels splits a label body on commas that terminate a pair

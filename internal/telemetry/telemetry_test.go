@@ -253,95 +253,157 @@ func TestRegistryRowsAndRender(t *testing.T) {
 	}
 }
 
+// TestHTTPEndpoints drives the one introspection mux as a lone VM sees it
+// (one source) and as the sharded serving plane does (three): every
+// endpoint answers in the same shape either way, /metrics is a valid
+// exposition, and the shard label appears exactly when there is more
+// than one source to tell apart.
 func TestHTTPEndpoints(t *testing.T) {
-	hub := NewHub(16)
-	hub.SetTracing(true)
-	hub.Emit(Event{Kind: EvProcCreate, Pid: 1, Detail: "web"})
-	hub.Emit(Event{Kind: EvGCEnd, Pid: 1, A: 500, B: 64})
-	snap := func() Snapshot {
-		return Snapshot{NowCycles: 123, NowMillis: 0, Procs: hub.Reg.Rows(nil), Events: hub.Trace.Total()}
+	for _, hubs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%dhub", hubs), func(t *testing.T) {
+			sources := make([]Source, hubs)
+			for i := range sources {
+				hub := NewHub(16)
+				hub.SetTracing(true)
+				hub.Spans.SetEnabled(true)
+				hub.Emit(Event{Kind: EvProcCreate, Pid: 1, Detail: fmt.Sprintf("web%d", i)})
+				hub.Emit(Event{Kind: EvGCEnd, Pid: 1, A: 500, B: 64})
+				hub.Spans.Record(Span{ID: hub.Spans.NextID(), Route: "/r", Shard: i})
+				sources[i] = Source{
+					Hub: hub,
+					Snapshot: func() Snapshot {
+						return Snapshot{NowCycles: uint64(100 + i), Procs: hub.Reg.Rows(nil), Events: hub.Trace.Total()}
+					},
+					Audit: func() (any, bool) { return map[string]int{"checked": i}, i != 1 },
+				}
+			}
+			srv := httptest.NewServer(Handler(sources))
+			defer srv.Close()
+
+			fetch := func(path string) (int, string) {
+				resp, err := srv.Client().Get(srv.URL + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				defer resp.Body.Close()
+				var b bytes.Buffer
+				if _, err := b.ReadFrom(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, b.String()
+			}
+			get := func(path string) string {
+				status, body := fetch(path)
+				if status != 200 {
+					t.Fatalf("GET %s: status %d", path, status)
+				}
+				return body
+			}
+
+			var procs []struct {
+				Shard int      `json:"shard"`
+				Snap  Snapshot `json:"snapshot"`
+			}
+			if err := json.Unmarshal([]byte(get("/procs")), &procs); err != nil {
+				t.Fatalf("/procs not JSON: %v", err)
+			}
+			if len(procs) != hubs {
+				t.Fatalf("/procs has %d entries, want one per source (%d)", len(procs), hubs)
+			}
+			for i, p := range procs {
+				if p.Shard != i || p.Snap.NowCycles != uint64(100+i) ||
+					len(p.Snap.Procs) != 1 || p.Snap.Procs[0].Name != fmt.Sprintf("web%d", i) {
+					t.Errorf("/procs[%d] = %+v", i, p)
+				}
+			}
+
+			prom := get("/metrics")
+			validateExposition(t, prom)
+			for _, frag := range []string{
+				"# TYPE kaffeos_gc_cycles counter",
+				"# TYPE kaffeos_gc_pause_cycles histogram",
+				"kaffeos_trace_dropped{",
+			} {
+				if !strings.Contains(prom, frag) {
+					t.Errorf("/metrics missing %q:\n%s", frag, prom)
+				}
+			}
+			if hubs == 1 {
+				if strings.Contains(prom, "shard=") {
+					t.Errorf("/metrics of a lone hub carries a shard label:\n%s", prom)
+				}
+				if want := `kaffeos_gc_cycles{pid="1",proc="web0"} 500`; !strings.Contains(prom, want) {
+					t.Errorf("/metrics missing %q:\n%s", want, prom)
+				}
+			} else {
+				for i := 0; i < hubs; i++ {
+					want := fmt.Sprintf(`kaffeos_gc_cycles{shard="%d",pid="1",proc="web%d"} 500`, i, i)
+					if !strings.Contains(prom, want) {
+						t.Errorf("/metrics missing %q:\n%s", want, prom)
+					}
+				}
+				for _, line := range strings.Split(strings.TrimSpace(prom), "\n") {
+					if !strings.HasPrefix(line, "#") && !strings.Contains(line, `{shard="`) {
+						t.Errorf("/metrics sample without a shard label: %q", line)
+					}
+				}
+			}
+
+			trace := get("/trace")
+			if n := strings.Count(trace, "\n"); n != 2*hubs {
+				t.Errorf("/trace lines = %d, want %d:\n%s", n, 2*hubs, trace)
+			}
+			if !strings.Contains(trace, `"kind":"gc-end"`) {
+				t.Errorf("/trace missing gc-end:\n%s", trace)
+			}
+			if spans := get("/spans"); strings.Count(spans, "\n") != hubs || !strings.Contains(spans, `"route":"/r"`) {
+				t.Errorf("/spans wrong, want %d lines:\n%s", hubs, spans)
+			}
+
+			ps := get("/ps")
+			if !strings.Contains(ps, "PID") || !strings.Contains(ps, fmt.Sprintf("web%d", hubs-1)) {
+				t.Errorf("/ps table wrong:\n%s", ps)
+			}
+			if got := strings.Count(ps, "== shard "); (hubs == 1 && got != 0) || (hubs > 1 && got != hubs) {
+				t.Errorf("/ps has %d shard headings for %d sources:\n%s", got, hubs, ps)
+			}
+
+			var audits []struct {
+				Shard  int            `json:"shard"`
+				OK     bool           `json:"ok"`
+				Report map[string]int `json:"report"`
+			}
+			if err := json.Unmarshal([]byte(get("/audit")), &audits); err != nil {
+				t.Fatalf("/audit not JSON: %v", err)
+			}
+			if len(audits) != hubs {
+				t.Fatalf("/audit has %d reports, want one per source (%d)", len(audits), hubs)
+			}
+			for i, a := range audits {
+				if a.Shard != i || a.OK != (i != 1) || a.Report["checked"] != i {
+					t.Errorf("/audit[%d] = %+v", i, a)
+				}
+			}
+
+			if status, _ := fetch("/metrics.json"); status != 404 {
+				t.Errorf("/metrics.json: status %d, want 404 (Prometheus /metrics is the format)", status)
+			}
+			if status, _ := fetch("/debug/pprof/cmdline"); status != 200 {
+				t.Errorf("/debug/pprof/cmdline: status %d", status)
+			}
+		})
 	}
-	srv := httptest.NewServer(hub.Handler(snap))
+
+	// A source with no auditor cannot vouch for itself.
+	srv := httptest.NewServer(Handler([]Source{{Hub: NewHub(0)}}))
 	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		if _, err := b.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return b.String()
+	resp, err := srv.Client().Get(srv.URL + "/audit")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var procs Snapshot
-	if err := json.Unmarshal([]byte(get("/procs")), &procs); err != nil {
-		t.Fatalf("/procs not JSON: %v", err)
-	}
-	if procs.NowCycles != 123 || len(procs.Procs) != 1 || procs.Procs[0].Name != "web" {
-		t.Errorf("/procs = %+v", procs)
-	}
-
-	var metrics []MetricsSnapshot
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &metrics); err != nil {
-		t.Fatalf("/metrics.json not JSON: %v", err)
-	}
-	if len(metrics) != 2 || metrics[0].Name != "kernel" {
-		t.Errorf("/metrics.json scopes = %d (first %q)", len(metrics), metrics[0].Name)
-	}
-
-	prom := get("/metrics")
-	for _, frag := range []string{
-		"# TYPE kaffeos_gc_cycles counter",
-		`kaffeos_gc_cycles{pid="1",proc="web"} 500`,
-		"# TYPE kaffeos_gc_pause_cycles histogram",
-		`kaffeos_gc_pause_cycles_count{pid="1",proc="web"} 1`,
-		`kaffeos_trace_dropped{pid="0",proc="kernel"} 0`,
-	} {
-		if !strings.Contains(prom, frag) {
-			t.Errorf("/metrics missing %q:\n%s", frag, prom)
-		}
-	}
-
-	trace := get("/trace")
-	if n := strings.Count(trace, "\n"); n != 2 {
-		t.Errorf("/trace lines = %d, want 2:\n%s", n, trace)
-	}
-	if !strings.Contains(trace, `"kind":"gc-end"`) {
-		t.Errorf("/trace missing gc-end:\n%s", trace)
-	}
-
-	ps := get("/ps")
-	if !strings.Contains(ps, "PID") || !strings.Contains(ps, "web") {
-		t.Errorf("/ps table wrong:\n%s", ps)
-	}
-}
-
-func TestScopeDumpAndMetricNames(t *testing.T) {
-	hub := NewHub(0)
-	s := hub.Reg.ProcNamed(7, "dumpme")
-	s.Counter(MCPUCycles).Add(9)
-	s.Gauge(MMemLimit).Set(4096)
-	s.Histogram(MGCPause).Observe(100)
-	s.SetMeta("state", "running")
-	d := s.Dump()
-	if d.Pid != 7 || d.Name != "dumpme" {
-		t.Fatalf("dump header: %+v", d)
-	}
-	if d.Counters[MCPUCycles] != 9 || d.Gauges[MMemLimit] != 4096 {
-		t.Errorf("dump values: %+v", d)
-	}
-	if d.Histograms[MGCPause].Count != 1 {
-		t.Errorf("dump histogram: %+v", d.Histograms[MGCPause])
-	}
-	if d.Meta["state"] != "running" {
-		t.Errorf("dump meta: %+v", d.Meta)
+	resp.Body.Close()
+	if resp.StatusCode != 501 {
+		t.Errorf("/audit without an auditor: status %d, want 501", resp.StatusCode)
 	}
 }
 

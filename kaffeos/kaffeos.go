@@ -123,6 +123,17 @@ type ProcessConfig struct {
 	Seed int64
 }
 
+func (cfg ProcessConfig) options() core.ProcessOptions {
+	return core.ProcessOptions{
+		MemLimit:  cfg.MemLimit,
+		HardLimit: cfg.Reserve,
+		CPULimit:  cfg.CPULimit,
+		IOLimit:   cfg.IOLimit,
+		Out:       cfg.Stdout,
+		Seed:      cfg.Seed,
+	}
+}
+
 // VM is a KaffeOS virtual machine.
 type VM struct {
 	inner *core.VM
@@ -179,14 +190,7 @@ func (vm *VM) Core() *core.VM { return vm.inner }
 
 // NewProcess creates an isolated process.
 func (vm *VM) NewProcess(name string, cfg ProcessConfig) (*Process, error) {
-	p, err := vm.inner.NewProcess(name, core.ProcessOptions{
-		MemLimit:  cfg.MemLimit,
-		HardLimit: cfg.Reserve,
-		CPULimit:  cfg.CPULimit,
-		IOLimit:   cfg.IOLimit,
-		Out:       cfg.Stdout,
-		Seed:      cfg.Seed,
-	})
+	p, err := vm.inner.NewProcess(name, cfg.options())
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +239,12 @@ func (vm *VM) Snapshot() telemetry.Snapshot { return vm.inner.Snapshot() }
 // between Run calls, while no thread executes.
 func (vm *VM) GCAll() { vm.inner.CollectAll() }
 
-// ServeTelemetry starts an HTTP introspection endpoint on addr (":0"
-// picks a free port) and returns the bound address. Routes: /procs
-// (JSON snapshot), /metrics (JSON metric dump), /trace (JSON lines),
-// /ps (plain-text table).
+// ServeTelemetry starts the HTTP introspection endpoint on addr (":0"
+// picks a free port) and returns the bound address. Routes: /metrics
+// (Prometheus), /procs and /audit (JSON), /trace and /spans (JSON lines),
+// /ps (plain-text table), /debug/pprof/ — see telemetry.Handler.
 func (vm *VM) ServeTelemetry(addr string) (string, error) {
-	return vm.inner.Tel.Serve(addr, vm.inner.Snapshot)
+	return telemetry.Serve(addr, []telemetry.Source{vm.inner.TelemetrySource()})
 }
 
 // Audit re-derives the kernel's accounting books from a globally
@@ -324,14 +328,7 @@ func (t *Template) Bytes() uint64 { return t.inner.Bytes() }
 // namespace bound to the copied statics. The clone starts quiescent;
 // Start/StartMethod run code in it like any other process.
 func (t *Template) Fork(name string, cfg ProcessConfig) (*Process, error) {
-	p, err := t.inner.Fork(name, core.ProcessOptions{
-		MemLimit:  cfg.MemLimit,
-		HardLimit: cfg.Reserve,
-		CPULimit:  cfg.CPULimit,
-		IOLimit:   cfg.IOLimit,
-		Out:       cfg.Stdout,
-		Seed:      cfg.Seed,
-	})
+	p, err := t.inner.Fork(name, cfg.options())
 	if err != nil {
 		return nil, err
 	}
