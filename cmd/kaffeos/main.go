@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/audit"
 	"repro/internal/bytecode"
 	"repro/internal/telemetry"
 	"repro/kaffeos"
@@ -497,24 +498,24 @@ DONE:	return
 .end
 .end`
 
+// checkProg is one workload program of the check sweep.
+type checkProg struct {
+	name string
+	mod  *bytecode.Module
+}
+
 // checkSweep runs the workload once per seed 1..n with the fault plane
 // armed, then audits every kernel invariant. Processes dying of injected
 // faults is the expected outcome; any bookkeeping violation fails the
-// sweep. Each seed also churns the template path — warm a zygote,
-// checkpoint it, fork clones onto the workload, kill the origin — so
-// fork.copy and friends get injected into alongside the classic sites.
+// sweep.
 func checkSweep(n int, spec string, files []string) error {
-	type prog struct {
-		name string
-		mod  *bytecode.Module
-	}
-	var progs []prog
+	var progs []checkProg
 	if len(files) == 0 {
 		mod, err := bytecode.Assemble(checkWorkload)
 		if err != nil {
 			return fmt.Errorf("built-in workload: %w", err)
 		}
-		progs = []prog{{"churn-1", mod}, {"churn-2", mod}}
+		progs = []checkProg{{"churn-1", mod}, {"churn-2", mod}}
 	} else {
 		for _, file := range files {
 			src, err := os.ReadFile(file)
@@ -525,81 +526,16 @@ func checkSweep(n int, spec string, files []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", file, err)
 			}
-			progs = append(progs, prog{file, mod})
+			progs = append(progs, checkProg{file, mod})
 		}
 	}
 	badSeeds := 0
 	for seed := 1; seed <= n; seed++ {
-		plan := fmt.Sprintf("seed=%d,%s", seed, spec)
-		// MemBudget arms the memory-balancer controller so the sweep
-		// exercises the membal.rebalance fault site alongside the rest;
-		// the tight interval (one quantum) gets rebalance rounds even into
-		// runs that injected faults cut short.
-		// CodeCache (with the default jit-opt engine) puts the
-		// codecache.attach site on every process creation and module load,
-		// so the sweep injects into attach unwinds too.
-		vm, err := kaffeos.New(kaffeos.Config{
-			Faults: plan, MemBudget: 48 << 20, MemBalInterval: 100_000,
-			Engine: kaffeos.JITOpt, CodeCache: true,
-		})
+		faults, rep, err := checkSeed(seed, spec, progs)
 		if err != nil {
 			return err
 		}
-		for _, pr := range progs {
-			entry := findMain(pr.mod)
-			if entry == "" {
-				return fmt.Errorf("%s: no class with a static main method", pr.name)
-			}
-			p, err := vm.NewProcess(pr.name, kaffeos.ProcessConfig{MemLimit: 16 << 20})
-			if err != nil {
-				continue // injected allocation failure at creation: fine
-			}
-			if err := p.LoadModule(pr.mod); err != nil {
-				continue // process killed by a fault mid-load: fine
-			}
-			if _, err := p.Start(entry); err != nil {
-				continue // ditto at main-thread spawn
-			}
-		}
-		// Template churn: every step may die of an injected fault (that is
-		// the point), but whatever survives must keep the books exact. An
-		// attempt killed mid-warmup or mid-copy still exercised the unwind
-		// paths; retry a few times so most seeds also fork successfully.
-		for attempt := 0; attempt < 3; attempt++ {
-			zygote, err := vm.NewProcess("zygote", kaffeos.ProcessConfig{MemLimit: 16 << 20})
-			if err != nil {
-				continue // injected allocation failure at creation: fine
-			}
-			if err := zygote.LoadSource(sweepWarmSource); err != nil {
-				zygote.Kill() // warmup died of an injected fault: fine
-				continue
-			}
-			tpl, err := vm.Checkpoint(zygote, "sweep")
-			zygote.Kill()
-			if err != nil {
-				continue // checkpoint copy faulted and unwound: fine
-			}
-			for i := 0; i < 2; i++ {
-				clone, err := tpl.Fork(fmt.Sprintf("clone-%d", i), kaffeos.ProcessConfig{MemLimit: 16 << 20})
-				if err != nil {
-					continue // fork.copy fault unwound the clone: fine
-				}
-				if err := clone.LoadModule(progs[0].mod); err != nil {
-					continue
-				}
-				_, _ = clone.Start(findMain(progs[0].mod))
-			}
-			if seed%2 == 0 {
-				_ = tpl.Release() // odd seeds audit with the template live
-			}
-			break
-		}
-		if err := vm.Run(); err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
-		vm.GCAll()
-		rep := vm.Audit(true)
-		fmt.Printf("seed %3d: %s; %s\n", seed, vm.FaultSummary(), rep)
+		fmt.Printf("seed %3d: %s; %s\n", seed, faults, rep)
 		if !rep.OK() {
 			badSeeds++
 			for _, v := range rep.Violations {
@@ -613,6 +549,83 @@ func checkSweep(n int, spec string, files []string) error {
 	}
 	fmt.Printf("check: %d seeds, all invariants held\n", n)
 	return nil
+}
+
+// checkSeed runs the sweep's workload under one seed of the fault plan and
+// returns the plane's fault summary and the post-run audit. Each seed also
+// churns the template path — warm a zygote, checkpoint it, fork clones
+// onto the workload, kill the origin — so fork.copy and friends get
+// injected into alongside the classic sites.
+func checkSeed(seed int, spec string, progs []checkProg) (string, *audit.Report, error) {
+	plan := fmt.Sprintf("seed=%d,%s", seed, spec)
+	// MemBudget arms the memory-balancer controller so the sweep
+	// exercises the membal.rebalance fault site alongside the rest;
+	// the tight interval (one quantum) gets rebalance rounds even into
+	// runs that injected faults cut short.
+	// CodeCache (with the default jit-opt engine) puts the
+	// codecache.attach site on every process creation and module load,
+	// so the sweep injects into attach unwinds too.
+	vm, err := kaffeos.New(kaffeos.Config{
+		Faults: plan, MemBudget: 48 << 20, MemBalInterval: 100_000,
+		Engine: kaffeos.JITOpt, CodeCache: true,
+	})
+	if err != nil {
+		return "", nil, err
+	}
+	for _, pr := range progs {
+		entry := findMain(pr.mod)
+		if entry == "" {
+			return "", nil, fmt.Errorf("%s: no class with a static main method", pr.name)
+		}
+		p, err := vm.NewProcess(pr.name, kaffeos.ProcessConfig{MemLimit: 16 << 20})
+		if err != nil {
+			continue // injected allocation failure at creation: fine
+		}
+		if err := p.LoadModule(pr.mod); err != nil {
+			continue // process killed by a fault mid-load: fine
+		}
+		if _, err := p.Start(entry); err != nil {
+			continue // ditto at main-thread spawn
+		}
+	}
+	// Template churn: every step may die of an injected fault (that is
+	// the point), but whatever survives must keep the books exact. An
+	// attempt killed mid-warmup or mid-copy still exercised the unwind
+	// paths; retry a few times so most seeds also fork successfully.
+	for attempt := 0; attempt < 3; attempt++ {
+		zygote, err := vm.NewProcess("zygote", kaffeos.ProcessConfig{MemLimit: 16 << 20})
+		if err != nil {
+			continue // injected allocation failure at creation: fine
+		}
+		if err := zygote.LoadSource(sweepWarmSource); err != nil {
+			zygote.Kill() // warmup died of an injected fault: fine
+			continue
+		}
+		tpl, err := vm.Checkpoint(zygote, "sweep")
+		zygote.Kill()
+		if err != nil {
+			continue // checkpoint copy faulted and unwound: fine
+		}
+		for i := 0; i < 2; i++ {
+			clone, err := tpl.Fork(fmt.Sprintf("clone-%d", i), kaffeos.ProcessConfig{MemLimit: 16 << 20})
+			if err != nil {
+				continue // fork.copy fault unwound the clone: fine
+			}
+			if err := clone.LoadModule(progs[0].mod); err != nil {
+				continue
+			}
+			_, _ = clone.Start(findMain(progs[0].mod))
+		}
+		if seed%2 == 0 {
+			_ = tpl.Release() // odd seeds audit with the template live
+		}
+		break
+	}
+	if err := vm.Run(); err != nil {
+		return "", nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	vm.GCAll()
+	return vm.FaultSummary(), vm.Audit(true), nil
 }
 
 func disCmd(args []string) error {

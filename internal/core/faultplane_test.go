@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/faults"
@@ -226,6 +227,85 @@ func TestFaultSoakAuditClean(t *testing.T) {
 			if rep := vm.Audit(true); !rep.OK() {
 				t.Fatalf("seed %d: %s", seed, rep)
 			}
+		})
+	}
+}
+
+// clinitChurnSrc's class initializer allocates far past a 256 KiB
+// memlimit, so loading it forces collections from inside <clinit>.
+const clinitChurnSrc = `
+.class app/ClinitChurn
+.method <clinit> ()V static
+.locals 1
+.stack 2
+	iconst 0
+	istore 0
+L0:	iload 0
+	ldc 64
+	if_icmpge DONE
+	ldc 1024
+	newarray [I
+	pop
+	iinc 0 1
+	goto L0
+DONE:	return
+.end
+.end`
+
+// A kill that fires inside the victim's own collection (the heap.mark
+// site) while the process has no threads defers reclamation to the
+// collector's exit: reclaiming inline would relock the gcMu the collection
+// holds. Every way of collecting a process heap must finish, reclaim the
+// process and leave the books exact — including a collection forced from
+// inside a class initializer, where the load then fails.
+func TestKillInsideCollectDefersReclaim(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		collect func(vm *VM, p *Process) error
+	}{
+		{"Process.Collect", func(vm *VM, p *Process) error { p.Collect(); return nil }},
+		{"VM.CollectHeap", func(vm *VM, p *Process) error { vm.CollectHeap(p.Heap); return nil }},
+		{"VM.CollectAll", func(vm *VM, p *Process) error { vm.CollectAll(); return nil }},
+		{"clinit", func(vm *VM, p *Process) error {
+			if err := p.Load(bytecode.MustAssemble(clinitChurnSrc)); err == nil {
+				return errors.New("load succeeded in a process killed during its <clinit>")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := faults.ParsePlan("seed=1,heap.mark=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plane := faults.NewPlane(plan)
+			plane.SetEnabled(false)
+			vm, err := NewVM(Config{Faults: plane})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := mustProc(t, vm, "victim", ProcessOptions{MemLimit: 256 << 10})
+			load(t, p, helloSrc)
+			plane.SetEnabled(true)
+			done := make(chan error, 1)
+			go func() { done <- tc.collect(vm, p) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("collection deadlocked on the reclaim its own kill triggered")
+			}
+			plane.SetEnabled(false)
+			if plane.Fires(faults.SiteHeapMark) == 0 {
+				t.Fatal("heap.mark never fired")
+			}
+			if s := p.State(); s != ProcReclaimed {
+				t.Fatalf("victim %s after the collection exited, want reclaimed", s)
+			}
+			vm.CollectAll()
+			auditClean(t, vm, "after kill inside collect")
 		})
 	}
 }

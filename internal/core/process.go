@@ -97,7 +97,15 @@ type Process struct {
 	threads   map[*interp.Thread]struct{}
 	threadFor map[*object.Object]*interp.Thread // java/lang/Thread objects
 	nthreads  atomic.Int32
-	intern    map[string]*object.Object
+	// pins counts kernel sections in flight that need the heap and
+	// namespace intact — collections of the heap, class initialization —
+	// and reclaimPending records a kill that found the process threadless
+	// while one ran. Reclamation merges the heap, which needs the gcMu an
+	// in-flight collection holds, so the kernel defers it to the last
+	// section's exit (§2, "Safe termination of processes"). Both under mu.
+	pins           int
+	reclaimPending bool
+	intern         map[string]*object.Object
 	// modules records every module defined into the namespace, in load
 	// order, so Checkpoint can replay the namespace into forks.
 	modules   []*bytecode.Module
@@ -183,9 +191,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	// The process object itself is large and lives on the *new* heap; the
 	// kernel keeps only the small process-table entry (§2, "Precise memory
 	// and CPU accounting").
-	p.Heap = vm.Reg.NewHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim)
-	p.Heap.Owner = p
-	p.Heap.Pid = int32(pid)
+	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
 	p.Loader.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
@@ -194,7 +200,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 		p.releaseEarly()
 		return nil, fmt.Errorf("core: reloaded library for %q: %w", name, err)
 	}
-	if err := vm.runClinits(p, p.Loader.PendingClinits()); err != nil {
+	if err := p.initClasses(); err != nil {
 		p.releaseEarly()
 		return nil, fmt.Errorf("core: library clinit for %q: %w", name, err)
 	}
@@ -210,9 +216,12 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	return p, nil
 }
 
-// releaseEarly tears down a half-built process (creation failure).
+// releaseEarly tears down a half-built process (creation failure); a
+// no-op when a kill during creation already reclaimed it.
 func (p *Process) releaseEarly() {
-	p.reclaiming.Store(true)
+	if !p.reclaiming.CompareAndSwap(false, true) {
+		return
+	}
 	p.VM.detachCachedCode(p)
 	_ = p.Heap.MergeInto(p.VM.KernelHeap)
 	p.Limit.Release()
@@ -309,7 +318,7 @@ func (p *Process) Load(m *bytecode.Module) error {
 	if err := p.VM.defineModule(p, m); err != nil {
 		return err
 	}
-	if err := p.VM.runClinits(p, p.Loader.PendingClinits()); err != nil {
+	if err := p.initClasses(); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -324,6 +333,41 @@ func (p *Process) Load(m *bytecode.Module) error {
 		return err
 	}
 	return nil
+}
+
+// initClasses runs the namespace's pending class initializers as one
+// pinned kernel section: a kill landing meanwhile (say, a heap.mark fault
+// in a clinit-time collection) takes effect when the section ends, and the
+// initialization reports it.
+func (p *Process) initClasses() error {
+	p.pin()
+	err := p.VM.runClinits(p, p.Loader.PendingClinits())
+	if s := p.State(); err == nil && s != ProcRunning {
+		err = fmt.Errorf("core: process %s during class initialization", s)
+	}
+	p.unpin()
+	return err
+}
+
+// pin enters a kernel section that needs p's heap and namespace intact.
+func (p *Process) pin() {
+	p.mu.Lock()
+	p.pins++
+	p.mu.Unlock()
+}
+
+// unpin leaves one; the last to leave runs a reclamation a kill deferred.
+func (p *Process) unpin() {
+	p.mu.Lock()
+	p.pins--
+	run := p.pins == 0 && p.reclaimPending
+	if run {
+		p.reclaimPending = false
+	}
+	p.mu.Unlock()
+	if run {
+		p.reclaim()
+	}
 }
 
 // LoadProgram loads a program registered with the VM.
@@ -430,15 +474,21 @@ func (p *Process) Kill(reason error) {
 	for t := range p.threads {
 		ts = append(ts, t)
 	}
+	// A threadless process has no exit hook left to reclaim it (nothing
+	// will ever call threadExited): reclaim inline, so killing an idle
+	// warmed process — e.g. a checkpoint origin between Run slices — is
+	// deterministic rather than leaking until VM teardown. Inside a pinned
+	// section (the kill may come from the process' own collector) the
+	// section's exit reclaims instead.
+	deferred := len(ts) == 0 && p.pins > 0
+	if deferred {
+		p.reclaimPending = true
+	}
 	p.mu.Unlock()
 	for _, t := range ts {
 		t.Kill()
 	}
-	if len(ts) == 0 {
-		// A threadless process has no exit hook left to reclaim it (nothing
-		// will ever call threadExited): reclaim inline, so killing an idle
-		// warmed process — e.g. a checkpoint origin between Run slices — is
-		// deterministic rather than leaking until VM teardown.
+	if len(ts) == 0 && !deferred {
 		p.reclaim()
 	}
 }
@@ -571,6 +621,8 @@ func (p *Process) stackAndStaticRoots(visit func(*object.Object)) {
 // paid for by its owner, so CPU accounting stays complete (§2, "Precise
 // memory and CPU accounting").
 func (p *Process) Collect() heap.GCResult {
+	p.pin()
+	defer p.unpin()
 	res := p.Heap.Collect(p.gcRoots())
 	p.resetGCTrigger()
 	p.chargeCPU(res.Cycles)

@@ -111,9 +111,7 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 		return nil, fmt.Errorf("core: memlimit for template %q: %w", name, err)
 	}
 	t := &Template{ID: pid, Name: name, VM: vm, Origin: p.ID, Limit: lim}
-	t.Heap = vm.Reg.NewHeap(heap.KindTemplate, fmt.Sprintf("tmpl:%s#%d", name, pid), lim)
-	t.Heap.Owner = t
-	t.Heap.Pid = int32(pid)
+	t.Heap = vm.Reg.NewOwnedHeap(heap.KindTemplate, fmt.Sprintf("tmpl:%s#%d", name, pid), lim, t, int32(pid))
 
 	// Snapshot the namespace state the fork path will need. forkMu
 	// excludes reclamation, so the loader and interning table are stable.
@@ -247,9 +245,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 		p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
 		scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
 	}
-	p.Heap = vm.Reg.NewHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim)
-	p.Heap.Owner = p
-	p.Heap.Pid = int32(pid)
+	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
 	p.Loader.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)

@@ -523,6 +523,8 @@ func (vm *VM) CollectHeap(h *heap.Heap) heap.GCResult {
 		return vm.CollectKernel()
 	}
 	if owner, ok := h.Owner.(*Process); ok {
+		owner.pin()
+		defer owner.unpin()
 		res := h.Collect(owner.gcRoots())
 		owner.resetGCTrigger()
 		vm.reconcileShared(owner)
@@ -543,6 +545,10 @@ func (vm *VM) CollectAll() []heap.GCResult {
 	procs := vm.Processes()
 	reqs := make([]heap.CollectRequest, len(procs))
 	for i, p := range procs {
+		// Unpinned on return: a kill inside a worker's collection reclaims
+		// here, on the caller's goroutine, once every collection is done.
+		p.pin()
+		defer p.unpin()
 		reqs[i] = heap.CollectRequest{Heap: p.Heap, Roots: p.gcRoots()}
 	}
 	results := vm.Reg.CollectConcurrent(reqs, vm.Cfg.GCWorkers)

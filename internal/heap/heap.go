@@ -325,7 +325,7 @@ type Heap struct {
 	Owner any
 
 	// Pid tags GC telemetry with the owning process (0 = kernel/shared).
-	// Set by the VM layer when the heap is handed to a process.
+	// Set by the VM layer when it creates the heap for a process.
 	Pid int32
 
 	// requester is the serving-plane request id (0 = none) to charge the
@@ -348,10 +348,19 @@ type chunk struct {
 
 // NewHeap creates a heap whose allocations are debited from limit.
 func (r *Registry) NewHeap(kind Kind, name string, limit *memlimit.Limit) *Heap {
+	return r.NewOwnedHeap(kind, name, limit, nil, 0)
+}
+
+// NewOwnedHeap is NewHeap for a heap handed to an owner (see Heap.Owner and
+// Heap.Pid): both are set before the registry publishes the heap, so
+// concurrent snapshots never see it unowned.
+func (r *Registry) NewOwnedHeap(kind Kind, name string, limit *memlimit.Limit, owner any, pid int32) *Heap {
 	h := &Heap{
 		ID:      r.Space.NewHeapID(),
 		Kind:    kind,
 		Name:    name,
+		Owner:   owner,
+		Pid:     pid,
 		reg:     r,
 		limit:   limit,
 		objects: make(map[*object.Object]struct{}),

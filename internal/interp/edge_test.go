@@ -211,18 +211,23 @@ REC:	iload 0
 .end`)
 	// 60 frames fits under the 64 limit (plus the entry frame).
 	runAllEngines(t, fx, "t/D", "down(I)I", 60, IntSlot(60))
-	// 100 does not: StackOverflowError.
+	// 100 does not: StackOverflowError. The thread's frame pool is bounded
+	// by the deepest live stack — the limit — however often it overflows.
 	for _, eng := range allEngines() {
 		th := fx.newThread()
-		if err := th.PushFrame(fx.method("t/D", "down(I)I"), []Slot{IntSlot(100)}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; th.Alive() && i < 10000; i++ {
-			th.Fuel = 100000
-			eng.Step(th)
-		}
-		if th.Uncaught == nil || th.Uncaught.Class.Name != "java/lang/StackOverflowError" {
-			t.Errorf("%s: uncaught = %v", eng.Name(), th.Uncaught)
+		for run := 0; run < 2; run++ {
+			th.State, th.Uncaught = StateRunnable, nil
+			if err := th.PushFrame(fx.method("t/D", "down(I)I"), []Slot{IntSlot(100)}); err != nil {
+				t.Fatal(err)
+			}
+			stepUntilDone(t, eng, th)
+			if th.Uncaught == nil || th.Uncaught.Class.Name != "java/lang/StackOverflowError" {
+				t.Errorf("%s: uncaught = %v", eng.Name(), th.Uncaught)
+			}
+			if got := pooledFrames(th); got != 64 {
+				t.Errorf("%s run %d: thread owns %d frames, want the 64-frame limit", eng.Name(), run, got)
+			}
+			checkPoolClear(t, eng.Name(), th)
 		}
 	}
 }

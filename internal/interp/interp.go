@@ -523,11 +523,10 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 				// the thread state; let the run loop re-evaluate.
 				return StepYielded, true
 			}
-			argsCopy := make([]Slot, nargs)
-			copy(argsCopy, args)
+			err := t.PushFrame(m, args)
 			f.SP -= nargs
 			f.clearAbove()
-			if err := t.PushFrame(m, argsCopy); err != nil {
+			if err != nil {
 				f.PC-- // re-point at the invoke for diagnostics
 				if res, cont := t.vmThrow(ClsStackOverflow, err.Error()); !cont {
 					return res, false
@@ -541,7 +540,7 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 			if in.Op != bytecode.RETURN {
 				ret = f.pop()
 			}
-			t.popFrameReturn(f, ret, in.Op != bytecode.RETURN)
+			t.popFrameReturn(ret, in.Op != bytecode.RETURN)
 			return StepYielded, true
 
 		case bytecode.ATHROW:
@@ -590,12 +589,7 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 				}
 				return StepYielded, true
 			}
-			for i := len(f.Monitors) - 1; i >= 0; i-- {
-				if f.Monitors[i] == o {
-					f.Monitors = append(f.Monitors[:i], f.Monitors[i+1:]...)
-					break
-				}
-			}
+			f.forgetMonitor(o)
 
 		default:
 			t.Err = fmt.Errorf("interp: unimplemented opcode %s in %s", in.Op.Name(), f.M)
@@ -646,13 +640,10 @@ func (t *Thread) safepoint() (StepResult, bool) {
 
 // popFrameReturn pops the top frame and delivers the return value to the
 // caller, or records the thread result if it was the entry frame.
-func (t *Thread) popFrameReturn(f *Frame, ret Slot, hasRet bool) {
-	t.Frames = t.Frames[:len(t.Frames)-1]
-	// Returning with held monitors is structurally possible; release them
-	// to preserve the invariant that dead frames hold no locks.
-	for i := len(f.Monitors) - 1; i >= 0; i-- {
-		releaseMonitor(t, f.Monitors[i])
-	}
+// Returning with held monitors is structurally possible; popFrame releases
+// them to preserve the invariant that dead frames hold no locks.
+func (t *Thread) popFrameReturn(ret Slot, hasRet bool) {
+	t.popFrame()
 	if caller := t.Top(); caller != nil {
 		if hasRet {
 			caller.push(ret)

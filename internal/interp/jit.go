@@ -56,8 +56,6 @@ func (j *JIT) Step(t *Thread) StepResult {
 	return runLoop(t, j.execFrame)
 }
 
-type jitKey struct{ fused, ic bool }
-
 // control is the signal a compiled closure returns to the driver.
 type control uint8
 
@@ -78,38 +76,75 @@ type compiled struct {
 	cost []int64
 }
 
+// jitMu serializes writers of the per-method body tables (compile and
+// InstallProgram); readers load the table without it.
 var jitMu sync.Mutex
 
-// bodyFor compiles (or fetches the cached compilation of) m.
+// variant is j's index into object.CompiledBodies.
+func (j *JIT) variant() int {
+	v := 0
+	if j.Fused {
+		v |= 1
+	}
+	if j.InlineCache {
+		v |= 2
+	}
+	return v
+}
+
+// cachedBody returns m's body for variant v, or nil.
+func cachedBody(m *object.Method, v int) *compiled {
+	if tab := m.Compiled.Load(); tab != nil {
+		c, _ := tab[v].(*compiled)
+		return c
+	}
+	return nil
+}
+
+// publishBody installs c as m's body for variant v by replacing the table.
+// The caller holds jitMu.
+func publishBody(m *object.Method, v int, c *compiled) {
+	var tab object.CompiledBodies
+	if old := m.Compiled.Load(); old != nil {
+		tab = *old
+	}
+	tab[v] = c
+	m.Compiled.Store(&tab)
+}
+
+// bodyFor compiles (or fetches the cached compilation of) m. A hit is one
+// atomic load and an index; only a miss takes jitMu.
 func (j *JIT) bodyFor(m *object.Method) (*compiled, error) {
+	v := j.variant()
+	if c := cachedBody(m, v); c != nil {
+		return c, nil
+	}
 	jitMu.Lock()
 	defer jitMu.Unlock()
-	cache, _ := m.Compiled.(map[jitKey]*compiled)
-	if cache == nil {
-		cache = make(map[jitKey]*compiled)
-		m.Compiled = cache
-	}
-	key := jitKey{j.Fused, j.InlineCache}
-	if c, ok := cache[key]; ok {
+	if c := cachedBody(m, v); c != nil {
 		return c, nil
 	}
 	c, err := j.compile(m)
 	if err != nil {
 		return nil, err
 	}
-	cache[key] = c
+	publishBody(m, v, c)
 	return c, nil
 }
 
 // execFrame drives compiled code for the top frame; the contract matches
 // the interpreter's execFrame.
 func (j *JIT) execFrame(t *Thread, f *Frame) (StepResult, bool) {
-	body, err := j.bodyFor(f.M)
-	if err != nil {
-		t.Err = err
-		t.unwindAll()
-		t.State = StateKilled
-		return StepKilled, false
+	body := f.body
+	if body == nil {
+		var err error
+		if body, err = j.bodyFor(f.M); err != nil {
+			t.Err = err
+			t.unwindAll()
+			t.State = StateKilled
+			return StepKilled, false
+		}
+		f.body = body
 	}
 	n := len(body.ops)
 	for {
@@ -607,7 +642,7 @@ func (j *JIT) compileOne(m *object.Method, pc int) (closure, error) {
 			if hasRet {
 				ret = f.pop()
 			}
-			t.popFrameReturn(f, ret, hasRet)
+			t.popFrameReturn(ret, hasRet)
 			return ctlFrame
 		}, nil
 
@@ -648,12 +683,7 @@ func (j *JIT) compileOne(m *object.Method, pc int) (closure, error) {
 			if !unlock(t, o) {
 				return jitThrow(t, ClsIllegalMonitor, "not owner")
 			}
-			for i := len(f.Monitors) - 1; i >= 0; i-- {
-				if f.Monitors[i] == o {
-					f.Monitors = append(f.Monitors[:i], f.Monitors[i+1:]...)
-					break
-				}
-			}
+			f.forgetMonitor(o)
 			return ctlNext
 		}, nil
 	}
@@ -716,11 +746,10 @@ func (j *JIT) compileInvoke(m *object.Method, pc int) closure {
 			}
 			return ctlFrame
 		}
-		argsCopy := make([]Slot, nargs)
-		copy(argsCopy, f.Stack[f.SP-nargs:f.SP])
+		err := t.PushFrame(target, f.Stack[f.SP-nargs:f.SP])
 		f.SP -= nargs
 		f.clearAbove()
-		if err := t.PushFrame(target, argsCopy); err != nil {
+		if err != nil {
 			f.PC--
 			return jitThrow(t, ClsStackOverflow, err.Error())
 		}

@@ -96,26 +96,17 @@ func (j *JIT) CompileProgram(classes []*object.Class) (*Program, error) {
 // this configuration) are left alone. Returns the number of bodies
 // installed.
 func (j *JIT) InstallProgram(p *Program, classes []*object.Class) int {
-	key := jitKey{j.Fused, j.InlineCache}
+	v := j.variant()
 	jitMu.Lock()
 	defer jitMu.Unlock()
 	installed := 0
 	for _, c := range classes {
 		for _, m := range c.Methods {
-			if m.Code == nil {
+			if m.Code == nil || cachedBody(m, v) != nil {
 				continue
 			}
-			body, ok := p.bodies[methodKey(c, m)]
-			if !ok {
-				continue
-			}
-			cache, _ := m.Compiled.(map[jitKey]*compiled)
-			if cache == nil {
-				cache = make(map[jitKey]*compiled)
-				m.Compiled = cache
-			}
-			if _, exists := cache[key]; !exists {
-				cache[key] = body
+			if body, ok := p.bodies[methodKey(c, m)]; ok {
+				publishBody(m, v, body)
 				installed++
 			}
 		}

@@ -33,7 +33,9 @@ func RefSlot(o *object.Object) Slot { return Slot{R: o} }
 // IntSlot makes a primitive slot.
 func IntSlot(v int64) Slot { return Slot{I: v} }
 
-// Frame is one activation record.
+// Frame is one activation record. A thread reuses its Frames: a popped
+// frame is cleared and kept for the next call at the same depth, so a
+// *Frame stays valid (pointer-stable) for as long as it is live.
 type Frame struct {
 	M      *object.Method
 	PC     int
@@ -43,14 +45,30 @@ type Frame struct {
 	// Monitors tracks objects locked by MONITORENTER in this frame and not
 	// yet unlocked, so unwinding (exceptions, termination) releases them.
 	Monitors []*object.Object
+
+	// slots backs Locals and Stack; it survives reuse and grows only when
+	// a method needs more slots than any earlier one at this depth.
+	slots []Slot
+	// body is the compiled body the JIT resolved on first entry, so
+	// resuming the frame after a return does no lookup.
+	body *compiled
 }
 
 func (f *Frame) push(s Slot) { f.Stack[f.SP] = s; f.SP++ }
 func (f *Frame) pop() Slot   { f.SP--; return f.Stack[f.SP] }
 func (f *Frame) top() *Slot  { return &f.Stack[f.SP-1] }
-func (f *Frame) clearAbove() {
-	for i := f.SP; i < len(f.Stack); i++ {
-		f.Stack[i] = Slot{}
+func (f *Frame) clearAbove() { clear(f.Stack[f.SP:]) }
+
+// forgetMonitor forgets the most recent MONITORENTER of o in this frame.
+func (f *Frame) forgetMonitor(o *object.Object) {
+	for i := len(f.Monitors) - 1; i >= 0; i-- {
+		if f.Monitors[i] == o {
+			last := len(f.Monitors) - 1
+			copy(f.Monitors[i:], f.Monitors[i+1:])
+			f.Monitors[last] = nil
+			f.Monitors = f.Monitors[:last]
+			return
+		}
 	}
 }
 
@@ -214,22 +232,51 @@ func (t *Thread) Alive() bool {
 }
 
 // PushFrame pushes an activation of m with the given argument slots
-// (receiver first for instance methods).
+// (receiver first for instance methods), copying them into the callee's
+// locals: args may be the caller's operand stack. A warmed thread pushes
+// without allocating — the frame at this depth, and its slots, are reused.
 func (t *Thread) PushFrame(m *object.Method, args []Slot) error {
 	if m.Code == nil {
 		return fmt.Errorf("interp: PushFrame of native method %s", m)
 	}
-	if len(t.Frames) >= t.Env.MaxFrames() {
-		return fmt.Errorf("interp: stack overflow at %d frames", len(t.Frames))
+	n := len(t.Frames)
+	if n >= t.Env.MaxFrames() {
+		return fmt.Errorf("interp: stack overflow at %d frames", n)
 	}
-	f := &Frame{
-		M:      m,
-		Locals: make([]Slot, m.MaxLocals),
-		Stack:  make([]Slot, m.MaxStack),
+	var f *Frame
+	if n < cap(t.Frames) {
+		t.Frames = t.Frames[:n+1]
+		f = t.Frames[n]
 	}
+	if f == nil {
+		f = new(Frame)
+		t.Frames = append(t.Frames[:n], f)
+	}
+	nl, size := m.MaxLocals, m.MaxLocals+m.MaxStack
+	if cap(f.slots) < size {
+		f.slots = make([]Slot, size)
+	}
+	f.M = m
+	f.Locals = f.slots[:nl:nl]
+	f.Stack = f.slots[nl:size:size]
 	copy(f.Locals, args)
-	t.Frames = append(t.Frames, f)
 	return nil
+}
+
+// popFrame pops the top frame: it releases the monitors the frame still
+// holds and clears it, so a pooled frame references nothing and the
+// thread's roots stay exactly its live frames.
+func (t *Thread) popFrame() {
+	n := len(t.Frames) - 1
+	f := t.Frames[n]
+	for i := len(f.Monitors) - 1; i >= 0; i-- {
+		releaseMonitor(t, f.Monitors[i])
+	}
+	clear(f.Monitors)
+	clear(f.Locals)
+	clear(f.Stack)
+	*f = Frame{Monitors: f.Monitors[:0], slots: f.slots}
+	t.Frames = t.Frames[:n]
 }
 
 // Top returns the current frame, or nil.
@@ -278,10 +325,6 @@ func (t *Thread) Roots(visit func(*object.Object)) {
 // for uncaught throwables.
 func (t *Thread) unwindAll() {
 	for len(t.Frames) > 0 {
-		f := t.Frames[len(t.Frames)-1]
-		for i := len(f.Monitors) - 1; i >= 0; i-- {
-			releaseMonitor(t, f.Monitors[i])
-		}
-		t.Frames = t.Frames[:len(t.Frames)-1]
+		t.popFrame()
 	}
 }

@@ -67,10 +67,7 @@ func (t *Thread) raise(obj *object.Object) (StepResult, bool) {
 			_ = backtrace
 			return StepYielded, true
 		}
-		for j := len(f.Monitors) - 1; j >= 0; j-- {
-			releaseMonitor(t, f.Monitors[j])
-		}
-		t.Frames = t.Frames[:len(t.Frames)-1]
+		t.popFrame()
 	}
 	t.Uncaught = obj
 	t.Err = &Thrown{Obj: obj}

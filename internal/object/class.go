@@ -10,6 +10,7 @@ package object
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/vmaddr"
@@ -102,10 +103,15 @@ type Method struct {
 	// (nil for catch-all handlers).
 	HandlerClasses []*Class
 
-	// Compiled caches the closure-compiled body, keyed by engine; managed
-	// by the jit package.
-	Compiled any
+	// Compiled is the table of closure-compiled bodies, one entry per
+	// engine variant; managed by the jit package. The table is replaced
+	// copy-on-write and published atomically, so readers take no lock.
+	Compiled atomic.Pointer[CompiledBodies]
 }
+
+// CompiledBodies holds one compiled body per engine variant. The entries'
+// concrete type belongs to the execution engine.
+type CompiledBodies [4]any
 
 // Linked is the resolved form of one constant pool entry.
 type Linked struct {

@@ -652,12 +652,13 @@ func (s *Server) Migrate(route string, target int) error {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	if err := from.do(func() { from.removeTenant(tn) }); err != nil {
+	// 3. Move: swap ownership, adopt on the target, restart there. The
+	// owner swaps on the old shard's goroutine, after its last look at the
+	// tenant: every later admit there sees the new owner and forwards, so
+	// no old-shard read of tenant state races the adopting shard's writes.
+	if err := from.do(func() { from.removeTenant(tn); tn.sh.Store(to) }); err != nil {
 		return err
 	}
-
-	// 3. Move: swap ownership, adopt on the target, restart there.
-	tn.sh.Store(to)
 	var startErr error
 	err := to.do(func() {
 		to.tenants = append(to.tenants, tn)

@@ -361,3 +361,60 @@ func TestNewShardedRejectsSharedHub(t *testing.T) {
 		t.Error("NewSharded with shared hub: want error")
 	}
 }
+
+// TestShardsRunCachedCodeConcurrently runs the compile-heavy NetWide
+// servlet on two shards at once, each executing the same code-cache
+// artifact (same module, same engine variant) on its own goroutine. The
+// compiled-body table is read without a lock, so this is the -race check
+// that nothing on the call path is shared between shards; both shards must
+// answer every body identically and audit clean.
+func TestShardsRunCachedCodeConcurrently(t *testing.T) {
+	tenants := []TenantConfig{
+		{Route: "/w0", Wide: true, WorkUnits: 20},
+		{Route: "/w1", Wide: true, WorkUnits: 20},
+	}
+	s, _, _ := startServer(t, core.Config{CodeCache: true}, Config{Shards: 2, Place: LeastLoaded}, tenants)
+	if s.ShardOf("/w0") == s.ShardOf("/w1") {
+		t.Fatalf("both tenants on shard %d", s.ShardOf("/w0"))
+	}
+	const perRoute = 40
+	replies := make([][]string, len(tenants))
+	var wg sync.WaitGroup
+	for i, tc := range tenants {
+		replies[i] = make([]string, perRoute)
+		wg.Add(1)
+		go func(i int, route string) {
+			defer wg.Done()
+			for k := 0; k < perRoute; k++ {
+				status, body := s.Do(route, []byte(fmt.Sprintf("body-%d", k)))
+				if status != http.StatusOK {
+					t.Errorf("%s request %d: status %d %q", route, k, status, body)
+				}
+				replies[i][k] = body
+			}
+		}(i, tc.Route)
+	}
+	wg.Wait()
+	for k := range replies[0] {
+		// Replies are "<tenant> result=N": compare everything past the name.
+		_, r0, _ := strings.Cut(replies[0][k], " ")
+		_, r1, _ := strings.Cut(replies[1][k], " ")
+		if r0 == "" || r0 != r1 {
+			t.Fatalf("body-%d: shards disagree: %q vs %q", k, replies[0][k], replies[1][k])
+		}
+	}
+	var keys [2]map[string]bool
+	for i, vm := range s.VMs() {
+		keys[i] = make(map[string]bool)
+		for _, a := range vm.CodeMgr.Artifacts() {
+			keys[i][fmt.Sprintf("%x/%s", a.Key.ModuleHash, a.Key.Variant)] = true
+		}
+	}
+	if len(keys[0]) == 0 || fmt.Sprint(keys[0]) != fmt.Sprint(keys[1]) {
+		t.Fatalf("shards hold different artifacts: %v vs %v", keys[0], keys[1])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	auditAllShards(t, s)
+}
