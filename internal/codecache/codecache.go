@@ -34,8 +34,8 @@ var ErrAttachFault = errors.New("codecache: injected attach fault")
 
 // Key content-addresses one artifact: the module's canonical hash plus
 // the compiling engine's configuration. Engine variants that Name()
-// collapses ("jit-opt") stay distinct here — a fused body and a plain
-// body are different artifacts.
+// collapses ("jit-opt") stay distinct here — a body with statements and
+// a plain body are different artifacts.
 type Key struct {
 	ModuleHash [32]byte
 	Variant    string

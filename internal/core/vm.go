@@ -49,7 +49,7 @@ const (
 	EngineInterpSpill EngineKind = "interp-spill"
 	// EngineJIT is the closure compiler (Kaffe00-class).
 	EngineJIT EngineKind = "jit"
-	// EngineJITOpt adds superop fusion and inline caches (IBM-class).
+	// EngineJITOpt adds statement compilation and inline caches (IBM-class).
 	EngineJITOpt EngineKind = "jit-opt"
 )
 

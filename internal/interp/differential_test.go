@@ -10,8 +10,8 @@ import (
 )
 
 // engines returns the three engine configurations under differential test:
-// the baseline interpreter, the plain closure JIT, and the fused JIT with
-// inline caches.
+// the baseline interpreter, the plain closure JIT, and the optimizing JIT
+// (statements and inline caches).
 func engines() []Engine {
 	return []Engine{&Interpreter{}, &JIT{}, &JIT{Fused: true, InlineCache: true}}
 }
@@ -32,10 +32,32 @@ func (o outcome) String() string {
 		o.state, o.result, o.uncaught, o.errored, o.cycles, o.userBytes)
 }
 
+// yieldRec is where a thread stood when one Step returned.
+type yieldRec struct {
+	depth  int
+	method string
+	pc, sp int
+	cycles uint64
+}
+
+// quanta are the fuel grants the differential runs under: tiny ones put a
+// yield inside every statement the optimizing engine compiles, and 5000 is
+// the scheduler-sized grant.
+var quanta = []int64{1, 2, 3, 7, 13, 5000}
+
+// runOpts configures one differential run. killAfter > 0 posts a kill
+// once that many Steps have returned.
+type runOpts struct {
+	quantum   int64
+	killAfter int
+}
+
 // runOn executes cls.key on a fresh fixture with the given engine and
-// captures the outcome. Each run gets its own namespace and heaps so
-// statics and allocations cannot leak between engines.
-func runOn(t *testing.T, eng Engine, src, cls, key string) outcome {
+// captures the outcome and the yield trace: the thread's depth, method,
+// pc, stack pointer and cycles at every Step return. Each run gets its own
+// namespace and heaps so statics and allocations cannot leak between
+// engines.
+func runOn(t testing.TB, eng Engine, src, cls, key string, o runOpts) (outcome, []yieldRec) {
 	t.Helper()
 	fx := newFixture(t, barrier.NoHeapPointer, 1<<30)
 	fx.define(src)
@@ -44,20 +66,29 @@ func runOn(t *testing.T, eng Engine, src, cls, key string) outcome {
 	if err := th.PushFrame(m, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
-		if i >= 100000 {
+	var trace []yieldRec
+	for i := 1; ; i++ {
+		if i > 10_000_000 {
 			t.Fatalf("engine %s: thread did not finish in step budget", eng.Name())
 		}
-		th.Fuel = 5000
+		th.Fuel = o.quantum
 		r := eng.Step(th)
+		rec := yieldRec{depth: len(th.Frames), cycles: th.Cycles}
+		if f := th.Top(); f != nil {
+			rec.method, rec.pc, rec.sp = f.M.String(), f.PC, f.SP
+		}
+		trace = append(trace, rec)
 		if r == StepFinished || r == StepKilled {
 			break
 		}
 		if r == StepBlocked {
 			t.Fatalf("engine %s: thread blocked with no other runner", eng.Name())
 		}
+		if i == o.killAfter {
+			th.Kill()
+		}
 	}
-	o := outcome{
+	out := outcome{
 		state:     th.State,
 		result:    th.Result.I,
 		errored:   th.Err != nil,
@@ -65,25 +96,50 @@ func runOn(t *testing.T, eng Engine, src, cls, key string) outcome {
 		userBytes: fx.user.Bytes(),
 	}
 	if th.Uncaught != nil {
-		o.uncaught = th.Uncaught.Class.Name
+		out.uncaught = th.Uncaught.Class.Name
 	}
-	return o
+	return out, trace
 }
 
-// diffProgram runs cls.key under every engine and fails on any divergence
-// in result, termination mode, uncaught class, simulated cycles, or user
-// heap effects.
+// diffTraces reports the first step at which two yield traces part.
+func diffTraces(a, b []yieldRec) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("step %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
+	}
+	return ""
+}
+
+// diffRun runs src under every engine and fails on any divergence in
+// outcome or yield trace from the interpreter's.
+func diffRun(t *testing.T, src, cls, key string, o runOpts) {
+	t.Helper()
+	engs := engines()
+	ref, refTrace := runOn(t, engs[0], src, cls, key, o)
+	for _, eng := range engs[1:] {
+		got, trace := runOn(t, eng, src, cls, key, o)
+		if got != ref {
+			t.Errorf("quantum %d: %s diverges from %s:\n  %s: %s\n  %s: %s",
+				o.quantum, eng.Name(), engs[0].Name(), engs[0].Name(), ref, eng.Name(), got)
+		}
+		if d := diffTraces(refTrace, trace); d != "" {
+			t.Errorf("quantum %d: %s yield trace diverges from %s at %s", o.quantum, eng.Name(), engs[0].Name(), d)
+		}
+	}
+}
+
+// diffProgram runs cls.key under every engine at every quantum and fails
+// on any divergence in result, termination mode, uncaught class, simulated
+// cycles, user heap effects or yield trace.
 func diffProgram(t *testing.T, name, src, cls, key string) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		engs := engines()
-		ref := runOn(t, engs[0], src, cls, key)
-		for _, eng := range engs[1:] {
-			got := runOn(t, eng, src, cls, key)
-			if got != ref {
-				t.Errorf("%s diverges from %s:\n  %s: %s\n  %s: %s",
-					eng.Name(), engs[0].Name(), engs[0].Name(), ref, eng.Name(), got)
-			}
+		for _, q := range quanta {
+			diffRun(t, src, cls, key, runOpts{quantum: q})
 		}
 	})
 }
@@ -373,14 +429,11 @@ func TestInterpVsJITDifferentialRandom(t *testing.T) {
 		src := genModule(rng)
 		name := fmt.Sprintf("prog-%02d", i)
 		t.Run(name, func(t *testing.T) {
-			engs := engines()
-			ref := runOn(t, engs[0], src, "r/Main", "main()I")
-			for _, eng := range engs[1:] {
-				got := runOn(t, eng, src, "r/Main", "main()I")
-				if got != ref {
-					t.Errorf("%s diverges from %s on:\n%s\n  %s: %s\n  %s: %s",
-						eng.Name(), engs[0].Name(), src, engs[0].Name(), ref, eng.Name(), got)
-				}
+			for _, q := range quanta {
+				diffRun(t, src, "r/Main", "main()I", runOpts{quantum: q})
+			}
+			if t.Failed() {
+				t.Logf("program:\n%s", src)
 			}
 		})
 	}

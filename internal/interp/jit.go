@@ -3,21 +3,25 @@ package interp
 // The closure-compiling engine ("JIT").
 //
 // Kaffe's real JIT translated each bytecode individually to x86; our
-// equivalent translates each instruction (or a fused run of instructions)
-// to a Go closure, eliminating the fetch/decode switch of the baseline
-// interpreter. Two quality levels reproduce the paper's platform spread:
+// equivalent translates each instruction to a Go closure, eliminating the
+// fetch/decode switch of the baseline interpreter. Two quality levels
+// reproduce the paper's platform spread:
 //
 //   - JIT{}: plain translation, one closure per instruction — the Kaffe00
 //     class of engine ("a better JIT").
-//   - JIT{Fused: true, InlineCache: true}: superoperator fusion (common
-//     sequences like load/load/op/store or load/const/compare-branch
-//     become a single closure) plus monomorphic inline caches at virtual
-//     call sites — the commercial-JIT (IBM) class of engine.
+//   - JIT{Fused: true, InlineCache: true}: statement compilation (each
+//     straight-line statement, e.g. x = (x*31 ^ j) & 0xFFFFFF or
+//     if (i >= n+24) goto L, becomes one closure over an operand tree; see
+//     jit_stmt.go) plus monomorphic inline caches at virtual call sites —
+//     the commercial-JIT (IBM) class of engine.
 //
-// Simulated cycle accounting is identical across engines — fusion changes
-// host wall-clock time, not the virtual machine's cost model — so CPU
-// accounting and the servlet experiment's virtual clock are engine-
-// independent, while Figure 3's wall-clock spread emerges naturally.
+// Simulated cycle accounting is identical across engines: a statement runs
+// only when the quantum covers its whole cost, and anything it cannot
+// finish without a side effect re-runs through the per-instruction
+// closures, so yield points, GC timing and throw frames are those of the
+// interpreter. CPU accounting and the servlet experiment's virtual clock
+// are therefore engine-independent, while Figure 3's wall-clock spread
+// emerges naturally.
 //
 // Compiled bodies are relocatable: closures never capture namespace-bound
 // pointers (classes, fields, resolved methods). Anything that differs
@@ -64,16 +68,26 @@ const (
 	ctlBranch                // f.PC set by the closure; run safepoint checks
 	ctlFrame                 // frame stack changed (call/return/throw-handled)
 	ctlStop                  // thread state changed; driver must return
+	// ctlRetry: a statement's check failed before any side effect; the
+	// driver refunds its cost and runs the pc per instruction.
+	ctlRetry
 )
 
 type closure func(t *Thread, f *Frame) control
 
 // compiled is one method body compiled for one engine configuration.
 type compiled struct {
-	ops []closure // indexed by original pc
-	// cost is the simulated cycle cost charged by the driver before
-	// running ops[pc]; fused runs carry their full cost at the head pc.
-	cost []int64
+	ops []jitOp // indexed by pc
+}
+
+// jitOp is everything the driver needs at one pc: the instruction's own
+// closure and cost, and, on the optimizing engine, the statement that
+// starts here with the summed cost of the instructions it covers.
+type jitOp struct {
+	run   closure
+	cost  int64
+	stmt  closure // nil when no statement starts at this pc
+	scost int64
 }
 
 // jitMu serializes writers of the per-method body tables (compile and
@@ -154,10 +168,28 @@ func (j *JIT) execFrame(t *Thread, f *Frame) (StepResult, bool) {
 			t.State = StateKilled
 			return StepKilled, false
 		}
-		c := body.cost[f.PC]
-		t.Fuel -= c
-		t.Cycles += uint64(c)
-		switch body.ops[f.PC](t, f) {
+		op := &body.ops[f.PC]
+		// A statement runs only when the quantum outlasts it and no kill
+		// waits, so no instruction inside it could have yielded or been
+		// killed on the per-instruction path either.
+		if op.stmt != nil && t.Fuel > op.scost && !t.KillPending() {
+			t.Fuel -= op.scost
+			t.Cycles += uint64(op.scost)
+			switch op.stmt(t, f) {
+			case ctlNext:
+				continue
+			case ctlBranch:
+				if res, stop := t.safepoint(); stop {
+					return res, false
+				}
+				continue
+			}
+			t.Fuel += op.scost
+			t.Cycles -= uint64(op.scost)
+		}
+		t.Fuel -= op.cost
+		t.Cycles += uint64(op.cost)
+		switch op.run(t, f) {
 		case ctlNext:
 			f.PC++
 			if t.Fuel <= 0 {
@@ -194,62 +226,22 @@ func stepResultFor(t *Thread) StepResult {
 	return StepYielded
 }
 
-// compile translates m's bytecode. Every original pc gets a closure; pcs
-// swallowed by fusion get a closure that forwards to the fused run's head
-// (so branches into a fused run still work when the run head is the
-// target; interior targets prevent fusion in the first place).
+// compile translates m's bytecode: one closure per instruction, plus the
+// statements layered over them when the engine optimizes.
 func (j *JIT) compile(m *object.Method) (*compiled, error) {
-	code := m.Code
-	n := len(code.Instrs)
-	ops := make([]closure, n)
-	costs := make([]int64, n)
-
-	// Branch targets and handler entries may not be fused over.
-	target := make([]bool, n+1)
-	for _, in := range code.Instrs {
-		if in.Op.IsBranch() {
-			target[in.A] = true
+	instrs := m.Code.Instrs
+	ops := make([]jitOp, len(instrs))
+	for pc, in := range instrs {
+		cl, err := j.compileOne(m, pc)
+		if err != nil {
+			return nil, err
 		}
+		ops[pc] = jitOp{run: cl, cost: int64(in.Op.Cycles())}
 	}
-	for _, h := range code.Handlers {
-		target[h.PC] = true
+	if j.Fused {
+		compileStatements(m, ops)
 	}
-
-	for pc := 0; pc < n; {
-		var cl closure
-		var width int
-		if j.Fused {
-			cl, width = j.fuse(m, pc, target)
-		}
-		if cl == nil {
-			var err error
-			cl, err = j.compileOne(m, pc)
-			if err != nil {
-				return nil, err
-			}
-			width = 1
-		}
-		ops[pc] = cl
-		for i := 0; i < width; i++ {
-			costs[pc] += int64(code.Instrs[pc+i].Op.Cycles())
-		}
-		// Interior pcs of a fused run are unreachable (no branch targets
-		// inside); fill with a trap for safety.
-		for i := pc + 1; i < pc+width; i++ {
-			ops[i] = trapClosure(m, i)
-		}
-		pc += width
-	}
-	return &compiled{ops: ops, cost: costs}, nil
-}
-
-func trapClosure(m *object.Method, pc int) closure {
-	return func(t *Thread, f *Frame) control {
-		t.Err = fmt.Errorf("interp: jump into fused run at %s pc %d", m, pc)
-		t.unwindAll()
-		t.State = StateKilled
-		return ctlStop
-	}
+	return &compiled{ops: ops}, nil
 }
 
 // inlineCacheSite is a monomorphic inline cache for one virtual call site.

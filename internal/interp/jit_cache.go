@@ -15,8 +15,8 @@ import (
 
 // Variant names one engine configuration for cache keying. Name()
 // collapses both optimizing flags into "jit-opt" for display; the cache
-// key must distinguish them, because a fused body and a plain body are
-// different artifacts.
+// key must distinguish them, because a body with statements ("+fuse")
+// and a plain body are different artifacts.
 func (j *JIT) Variant() string {
 	v := "jit"
 	if j.Fused {

@@ -180,6 +180,9 @@ type Thread struct {
 
 	// scratch is the spill buffer used by the SpillSim interpreter mode.
 	scratch []Slot
+	// stmtFailed marks a failed check inside a compiled statement until
+	// the statement's root consumes it (see jit_stmt.go).
+	stmtFailed bool
 }
 
 // InKernel reports whether the thread is in kernel mode.

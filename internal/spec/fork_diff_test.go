@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -71,6 +72,40 @@ func measure(t *testing.T, vm *core.VM, p *core.Process, w *Workload) runShape {
 	return shape
 }
 
+// baselines memoizes the reference run of each engine × workload — a
+// freshly initialized process in a VM without a code cache — which the
+// fork and code-cache walls both compare against.
+var baselines = struct {
+	sync.Mutex
+	shapes map[string]runShape
+}{shapes: make(map[string]runShape)}
+
+// baseline returns w's reference shape on engine, running it at most once
+// per test binary.
+func baseline(t *testing.T, engine core.EngineKind, w *Workload) runShape {
+	t.Helper()
+	key := string(engine) + "/" + w.Name
+	baselines.Lock()
+	defer baselines.Unlock()
+	if s, ok := baselines.shapes[key]; ok {
+		return s
+	}
+	vm := diffVM(t, engine)
+	fresh, err := vm.NewProcess("fresh-"+w.Name, core.ProcessOptions{MemLimit: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Load(w.Module()); err != nil {
+		t.Fatal(err)
+	}
+	s := measure(t, vm, fresh, w)
+	if rep := vm.Audit(true); !rep.OK() {
+		t.Fatalf("audit after baseline run:\n%s", rep)
+	}
+	baselines.shapes[key] = s
+	return s
+}
+
 // TestForkedCloneIndistinguishable is the fork correctness wall's
 // differential axis: on every engine, for every workload, a clone forked
 // from a checkpointed warm process produces a byte-identical execution —
@@ -89,18 +124,10 @@ func TestForkedCloneIndistinguishable(t *testing.T) {
 			for _, w := range All() {
 				w := w
 				t.Run(w.Name, func(t *testing.T) {
+					// Fresh path: init everything the slow way.
+					want := baseline(t, engine, w)
 					vm := diffVM(t, engine)
 					module := w.Module()
-
-					// Fresh path: init everything the slow way.
-					fresh, err := vm.NewProcess("fresh-"+w.Name, core.ProcessOptions{MemLimit: 64 << 20})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := fresh.Load(module); err != nil {
-						t.Fatal(err)
-					}
-					want := measure(t, vm, fresh, w)
 
 					// Fork path: warm once, checkpoint, stamp out a clone.
 					origin, err := vm.NewProcess("zygote-"+w.Name, core.ProcessOptions{MemLimit: 64 << 20})

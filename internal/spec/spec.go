@@ -147,5 +147,6 @@ func Run(w *Workload, p Platform) (Result, error) {
 		Cycles:   th.Cycles,
 		Barriers: vm.Stats.Executed.Load() - barriersBefore,
 		Checksum: th.Result.I,
+		GCs:      proc.Heap.Stats().GCs,
 	}, nil
 }

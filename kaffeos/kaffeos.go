@@ -44,7 +44,7 @@ const (
 	Interp Engine = "interp"
 	// JIT is the closure-compiling engine (Kaffe00-class).
 	JIT Engine = "jit"
-	// JITOpt adds superoperator fusion and inline caches (commercial-JIT
+	// JITOpt adds statement compilation and inline caches (commercial-JIT
 	// class).
 	JITOpt Engine = "jit-opt"
 )
