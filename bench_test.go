@@ -339,7 +339,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 	}{
 		{"interp-spill", core.EngineInterpSpill},
 		{"interp", core.EngineInterp},
-		{"jit", core.EngineJIT},
 		{"jit-opt", core.EngineJITOpt},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

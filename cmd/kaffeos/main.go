@@ -98,7 +98,7 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 	return &runFlags{
 		mainClass: fs.String("main", "", "entry class (default: first class with main)"),
 		memKB:     fs.Int("mem", 16384, "per-process memory limit in KiB"),
-		engine:    fs.String("engine", "jit-opt", "execution engine: interp | jit | jit-opt"),
+		engine:    fs.String("engine", "jit-opt", "execution engine: interp | jit-opt"),
 		barrier:   fs.String("barrier", "NoHeapPointer", "write barrier: NoWriteBarrier | HeapPointer | NoHeapPointer | FakeHeapPointer"),
 		cpuMS:     fs.Int("cpu", 0, "per-process CPU limit in virtual milliseconds (0 = unlimited)"),
 		gcWorkers: fs.Int("gcworkers", 0, "GC worker pool for collecting process heaps concurrently (0 = GOMAXPROCS)"),

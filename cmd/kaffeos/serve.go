@@ -29,7 +29,7 @@ func serveCmd(args []string) error {
 	work := fs.Int("work", 100, "per-request servlet work units")
 	queueMax := fs.Int("queue", 0, "per-tenant request queue bound (0 = default 64)")
 	inflight := fs.Int("inflight", 0, "per-tenant concurrent requests (0 = default 8)")
-	engine := fs.String("engine", "jit-opt", "execution engine: interp | jit | jit-opt")
+	engine := fs.String("engine", "jit-opt", "execution engine: interp | jit-opt")
 	codeCache := fs.Bool("codecache", false,
 		"share JIT-compiled code across tenant processes: one content-addressed\n"+
 			"artifact per (module, engine) pair, each sharer charged its full size")

@@ -14,7 +14,7 @@ package bytecode
 import "fmt"
 
 // Op is an opcode. Instructions are fixed-width (Op plus two int32
-// operands), which keeps the interpreter and the closure compiler simple.
+// operands), which keeps the interpreter and the statement compiler simple.
 type Op uint8
 
 // The instruction set. Operand conventions are noted per opcode:

@@ -4,7 +4,7 @@
 // (the ShareJIT observation applied to the paper's process model).
 //
 // Artifacts are content-addressed — keyed by the module's canonical
-// hash plus the engine variant ("jit", "jit+fuse+ic", ...) — so two
+// hash plus the engine variant (today only "jit+fuse+ic") — so two
 // processes share code iff a loader would build identical namespaces
 // and the engine would compile identical bodies. Residency follows the
 // paper's full-charging rule for shared state, exactly as shared heaps

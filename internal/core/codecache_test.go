@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/codecache"
 	"repro/internal/faults"
 	"repro/internal/interp"
+	"repro/internal/object"
 	"repro/internal/telemetry"
 )
 
@@ -254,4 +257,82 @@ func TestCodeCacheInterpNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditClean(t, vm, "interp no-op")
+}
+
+const virtualSrc = `
+.class app/A
+.method <init> ()V
+.locals 1
+.stack 1
+	aload 0
+	invokespecial java/lang/Object.<init> ()V
+	return
+.end
+.method val ()I
+.locals 1
+.stack 1
+	iconst 7
+	ireturn
+.end
+.method main ()I static
+.locals 0
+.stack 2
+	new app/A
+	dup
+	invokespecial app/A.<init> ()V
+	invokevirtual app/A.val ()I
+	ireturn
+.end
+.end`
+
+// A shared artifact holds nothing process-specific: once a sharer that
+// ran a virtual call through it is reclaimed, neither the process nor its
+// classes stay reachable from the code cache, while another sharer keeps
+// the artifact attached and running.
+func TestCodeCacheArtifactHoldsNoProcessState(t *testing.T) {
+	vm := newCacheVM(t, Config{})
+	p2 := mustProc(t, vm, "p2", ProcessOptions{})
+	wp, wc := runAndReclaim(t, vm, p2)
+	if vm.CodeMgr.Len() == 0 || vm.CodeMgr.BytesFor(p2) == 0 {
+		t.Fatal("the surviving sharer lost its artifact")
+	}
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("reclaimed process is still reachable")
+	}
+	if wc.Value() != nil {
+		t.Error("reclaimed process's class app/A is still reachable from the shared artifact")
+	}
+
+	th := spawn(t, p2, "app/A", "main()I")
+	if err := vm.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if th.State != interp.StateFinished || th.Result.I != 7 {
+		t.Fatalf("surviving sharer: state %v result %d err %v", th.State, th.Result.I, th.Err)
+	}
+	auditClean(t, vm, "after reclaiming one sharer")
+}
+
+// runAndReclaim loads virtualSrc into a fresh process p1 and into p2, runs
+// p1's virtual call to completion so p1 is reclaimed, and returns weak
+// pointers to p1 and its class app/A.
+func runAndReclaim(t *testing.T, vm *VM, p2 *Process) (weak.Pointer[Process], weak.Pointer[object.Class]) {
+	t.Helper()
+	p1 := mustProc(t, vm, "p1", ProcessOptions{})
+	load(t, p1, virtualSrc)
+	load(t, p2, virtualSrc)
+	cls, err := p1.Loader.Class("app/A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn(t, p1, "app/A", "main()I")
+	if err := vm.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := p1.State(); st != ProcReclaimed {
+		t.Fatalf("p1 is %v after its only thread exited, want reclaimed", st)
+	}
+	return weak.Make(p1), weak.Make(cls)
 }

@@ -41,16 +41,22 @@ import (
 type EngineKind string
 
 const (
-	// EngineInterp is the baseline switch interpreter.
+	// EngineInterp is the switch interpreter (Kaffe00-class with fast
+	// exceptions and thin locks).
 	EngineInterp EngineKind = "interp"
 	// EngineInterpSpill is the interpreter with the Kaffe-1.0b4-style
 	// naive-codegen simulation: redundant per-instruction decode and
 	// register spill/reload traffic (the Kaffe99 class of engine).
 	EngineInterpSpill EngineKind = "interp-spill"
-	// EngineJIT is the closure compiler (Kaffe00-class).
-	EngineJIT EngineKind = "jit"
-	// EngineJITOpt adds statement compilation and inline caches (IBM-class).
+	// EngineJITOpt overlays compiled statements on the interpreter
+	// (IBM-class).
 	EngineJITOpt EngineKind = "jit-opt"
+
+	// EngineJIT is the interpreter: the plain closure compiler it once
+	// named is gone. bench/ still names it.
+	//
+	// Deprecated: use EngineInterp.
+	EngineJIT = EngineInterp
 )
 
 // Config parameterizes a VM.
@@ -172,8 +178,8 @@ type VM struct {
 	Tel *telemetry.Hub
 
 	engine interp.Engine
-	// engineJIT is the engine downcast to the closure compiler when it
-	// is one (the code-cache compile/install path needs its Variant and
+	// engineJIT is the engine downcast to the optimizing JIT when it is
+	// one (the code-cache compile/install path needs its Variant and
 	// Program surface); nil for interpreter engines.
 	engineJIT *interp.JIT
 
@@ -238,11 +244,8 @@ func NewVM(cfg Config) (*VM, error) {
 	switch cfg.Engine {
 	case EngineInterp, EngineInterpSpill:
 		vm.engine = interp.Interpreter{}
-	case EngineJIT:
-		vm.engineJIT = &interp.JIT{}
-		vm.engine = vm.engineJIT
 	case EngineJITOpt:
-		vm.engineJIT = &interp.JIT{Fused: true, InlineCache: true}
+		vm.engineJIT = &interp.JIT{}
 		vm.engine = vm.engineJIT
 	default:
 		return nil, fmt.Errorf("core: unknown engine %q", cfg.Engine)

@@ -9,11 +9,10 @@ import (
 	"repro/internal/barrier"
 )
 
-// engines returns the three engine configurations under differential test:
-// the baseline interpreter, the plain closure JIT, and the optimizing JIT
-// (statements and inline caches).
+// engines returns the two engines under differential test: the
+// interpreter, and the optimizing JIT that overlays statements on it.
 func engines() []Engine {
-	return []Engine{&Interpreter{}, &JIT{}, &JIT{Fused: true, InlineCache: true}}
+	return []Engine{Interpreter{}, &JIT{}}
 }
 
 // outcome is everything observable about one program run that must not
@@ -146,7 +145,7 @@ func diffProgram(t *testing.T, name, src, cls, key string) {
 
 // TestInterpVsJITDifferential runs fixture programs covering arithmetic,
 // control flow, allocation, virtual dispatch, exceptions, and arrays
-// through all three engines and requires bit-identical outcomes.
+// through both engines and requires bit-identical outcomes.
 func TestInterpVsJITDifferential(t *testing.T) {
 	diffProgram(t, "arith-loop", `
 .class d/A
@@ -420,7 +419,7 @@ func genModule(rng *rand.Rand) string {
 }
 
 // TestInterpVsJITDifferentialRandom feeds randomly generated straight-line
-// modules through all three engines. The generator is seeded, so failures
+// modules through both engines. The generator is seeded, so failures
 // reproduce; the verifier guards the generator.
 func TestInterpVsJITDifferentialRandom(t *testing.T) {
 	const programs = 60

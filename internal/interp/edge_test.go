@@ -7,12 +7,12 @@ import (
 	"repro/internal/memlimit"
 )
 
-// Edge-case semantics, run under every engine so the interpreter and both
-// JIT levels agree on the corners.
+// Edge-case semantics, run under every engine so the interpreter and the
+// JIT agree on the corners.
 
 func runAllEngines(t *testing.T, fx *fixture, cls, key string, want int64, args ...Slot) {
 	t.Helper()
-	for _, eng := range allEngines() {
+	for _, eng := range engines() {
 		th := fx.driveWith(eng, cls, key, args...)
 		if th.State != StateFinished {
 			t.Fatalf("%s: state %v err %v uncaught %v", eng.Name(), th.State, th.Err, th.Uncaught)
@@ -213,7 +213,7 @@ REC:	iload 0
 	runAllEngines(t, fx, "t/D", "down(I)I", 60, IntSlot(60))
 	// 100 does not: StackOverflowError. The thread's frame pool is bounded
 	// by the deepest live stack — the limit — however often it overflows.
-	for _, eng := range allEngines() {
+	for _, eng := range engines() {
 		th := fx.newThread()
 		for run := 0; run < 2; run++ {
 			th.State, th.Uncaught = StateRunnable, nil

@@ -97,9 +97,6 @@ type Env struct {
 	// RandFor returns the per-process deterministic random source.
 	RandFor func(t *Thread) *rand.Rand
 
-	// Trace, when set, receives a line per executed instruction (debug).
-	Trace func(t *Thread, f *Frame, s string)
-
 	// FastExceptions selects table-based exception dispatch (the Kaffe00
 	// improvement integrated into KaffeOS, §4.1); the slow variant walks
 	// frames with per-frame allocation like Kaffe99.

@@ -16,21 +16,22 @@ type Engine interface {
 	Step(t *Thread) StepResult
 }
 
-// Interpreter is the baseline switch-dispatch engine, standing in for
-// Kaffe's simple JIT that "translates each instruction individually".
+// Interpreter is the switch-dispatch engine. Its loop is the only
+// bytecode loop: the optimizing JIT overlays statements on it (jit.go).
+// Plain, it is the Kaffe00 class of engine; with Env.SpillSim it models
+// Kaffe 1.0b4's naive per-instruction translator (Kaffe99).
 type Interpreter struct{}
 
 // Name implements Engine.
 func (Interpreter) Name() string { return "interp" }
 
 // Step implements Engine.
-func (Interpreter) Step(t *Thread) StepResult {
-	return runLoop(t, execFrame)
-}
+func (Interpreter) Step(t *Thread) StepResult { return runLoop(t, false) }
 
-// runLoop drives a per-frame executor until the quantum expires or the
-// thread changes state. The jit engine shares it with a different executor.
-func runLoop(t *Thread, exec func(*Thread, *Frame) (StepResult, bool)) StepResult {
+// runLoop drives execFrame until the quantum expires or the thread changes
+// state. With stmts, each frame first resolves its method's statement
+// table, which execFrame then overlays on its switch.
+func runLoop(t *Thread, stmts bool) StepResult {
 	for {
 		switch t.State {
 		case StateBlocked:
@@ -55,7 +56,10 @@ func runLoop(t *Thread, exec func(*Thread, *Frame) (StepResult, bool)) StepResul
 			}
 			return StepYielded
 		}
-		res, again := exec(t, f)
+		if stmts && f.body == nil {
+			f.body = bodyFor(f.M)
+		}
+		res, again := execFrame(t, f)
 		if !again {
 			return res
 		}
@@ -77,11 +81,21 @@ func checkKill(t *Thread) bool {
 // execFrame interprets the top frame until it pushes/pops a frame, the
 // thread yields/blocks/dies, or the quantum expires. The bool result is
 // true when the outer loop should continue with the (new) top frame.
+//
+// When the frame carries a statement table (f.body), the statement at f.PC
+// runs instead of the switch arm, but only if the quantum outlasts it and
+// no kill waits, so no instruction inside it could have yielded or been
+// killed here either. A statement that returns ctlRetry is refunded and
+// the pc runs through its arm.
 func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 	env := t.Env
 	code := f.M.Code
 	instrs := code.Instrs
 	spill := env.SpillSim
+	var stmts []stmtOp // nil unless the engine compiles statements
+	if f.body != nil {
+		stmts = f.body.ops
+	}
 
 	for {
 		if f.PC < 0 || f.PC >= len(instrs) {
@@ -90,15 +104,29 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 			t.State = StateKilled
 			return StepKilled, false
 		}
+		if stmts != nil {
+			if op := &stmts[f.PC]; op.stmt != nil && t.Fuel > op.scost && !t.KillPending() {
+				t.Fuel -= op.scost
+				t.Cycles += uint64(op.scost)
+				switch op.stmt(t, f) {
+				case ctlNext:
+					continue
+				case ctlBranch:
+					if res, stop := t.safepoint(); stop {
+						return res, false
+					}
+					continue
+				}
+				t.Fuel += op.scost
+				t.Cycles -= uint64(op.scost)
+			}
+		}
 		in := instrs[f.PC]
 		cost := int64(in.Op.Cycles())
 		t.Fuel -= cost
 		t.Cycles += uint64(cost)
 		if spill {
 			naiveSpill(t, f, in.Op)
-		}
-		if env.Trace != nil {
-			env.Trace(t, f, fmt.Sprintf("%s pc=%d %s sp=%d", f.M, f.PC, in.Op.Name(), f.SP))
 		}
 
 		switch in.Op {

@@ -11,9 +11,10 @@ package interp
 // simulated stack ends the statement as its root: a local store, iinc, an
 // iastore or primitive putfield (each absorbing a following goto), or a
 // branch. Any other instruction, or a branch target, is a block end: the
-// statement pushes its pending values and the instruction runs on its own.
-// Operands already on the real stack when a statement begins are read in
-// place and popped when it commits. So db's inner kernel,
+// statement pushes its pending values and the instruction runs through
+// the interpreter's switch. Operands already on the real stack when a
+// statement begins are read in place and popped when it commits. So db's
+// inner kernel,
 //
 //	iload 1; iconst 31; imul; iload 5; ixor; ldc 16777215; iand; istore 1
 //
@@ -22,15 +23,15 @@ package interp
 // Simulated cost stays a property of the program, not of the engine:
 //
 //   - nothing inside a statement allocates, calls, locks, throws, interns
-//     a string or runs a write barrier; those stay per-instruction;
+//     a string or runs a write barrier; those stay in the interpreter;
 //   - a statement runs only when the quantum exceeds its summed cost and no
-//     kill is pending (JIT.execFrame), so no instruction it covers could
-//     have yielded or been killed on the per-instruction path;
+//     kill is pending (execFrame), so no instruction it covers could have
+//     yielded or been killed instruction by instruction;
 //   - a failing check (null, bounds, zero divisor) marks the thread and
 //     yields a zero value; the root sees the mark before its first side
-//     effect and returns ctlRetry, and the driver refunds the cost and runs
-//     the pc per instruction, which throws from exactly the interpreter's
-//     frame.
+//     effect and returns ctlRetry, and the loop refunds the cost and runs
+//     the pc through its switch arm, which throws from exactly the
+//     interpreter's frame.
 //
 // Statements capture only module-deterministic values — local indices,
 // constants, field slots, branch targets — so bodies stay relocatable.
@@ -133,13 +134,14 @@ type stmtBuilder struct {
 	used   int     // real stack slots consumed in place
 }
 
-// compileStatements lays statements over a method's per-instruction ops.
-// A statement never spans a branch target or handler entry, so control
-// enters one only at its head; every other pc keeps its own closure, which
-// is also where a retried or resumed execution continues.
-func compileStatements(m *object.Method, ops []jitOp) {
+// compileStatements builds a method's statement table. A statement never
+// spans a branch target or handler entry, so control enters one only at
+// its head; every other pc runs through the interpreter's arm, which is
+// also where a retried or resumed execution continues.
+func compileStatements(m *object.Method) []stmtOp {
 	code := m.Code
 	n := len(code.Instrs)
+	ops := make([]stmtOp, n)
 	b := stmtBuilder{m: m, target: make([]bool, n), stack: make([]sexpr, 0, maxPending)}
 	for _, in := range code.Instrs {
 		if in.Op.IsBranch() && in.A >= 0 && int(in.A) < n {
@@ -157,9 +159,10 @@ func compileStatements(m *object.Method, ops []jitOp) {
 			pc++
 			continue
 		}
-		ops[pc].stmt, ops[pc].scost = st, cost
+		ops[pc] = stmtOp{stmt: st, scost: cost}
 		pc = end
 	}
+	return ops
 }
 
 // build compiles the statement starting at s: its closure, the pc after
@@ -891,7 +894,10 @@ func eqStmt(x, y sexpr, taken, other, used int) closure {
 		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I == k, taken, other); return ctlBranch }
 	case x.leaf == leafLocal && y.leaf == leafLocal:
 		i, j := x.k, y.k
-		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I == f.Locals[j].I, taken, other); return ctlBranch }
+		return func(_ *Thread, f *Frame) control {
+			f.branch(f.Locals[i].I == f.Locals[j].I, taken, other)
+			return ctlBranch
+		}
 	case y.leaf == leafConst:
 		a, k := x.ival(), y.k
 		return func(t *Thread, f *Frame) control {
@@ -934,7 +940,10 @@ func ltStmt(x, y sexpr, taken, other, used int) closure {
 		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I < k, taken, other); return ctlBranch }
 	case x.leaf == leafLocal && y.leaf == leafLocal:
 		i, j := x.k, y.k
-		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I < f.Locals[j].I, taken, other); return ctlBranch }
+		return func(_ *Thread, f *Frame) control {
+			f.branch(f.Locals[i].I < f.Locals[j].I, taken, other)
+			return ctlBranch
+		}
 	case y.leaf == leafConst:
 		a, k := x.ival(), y.k
 		return func(t *Thread, f *Frame) control {
@@ -977,7 +986,10 @@ func leStmt(x, y sexpr, taken, other, used int) closure {
 		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I <= k, taken, other); return ctlBranch }
 	case x.leaf == leafLocal && y.leaf == leafLocal:
 		i, j := x.k, y.k
-		return func(_ *Thread, f *Frame) control { f.branch(f.Locals[i].I <= f.Locals[j].I, taken, other); return ctlBranch }
+		return func(_ *Thread, f *Frame) control {
+			f.branch(f.Locals[i].I <= f.Locals[j].I, taken, other)
+			return ctlBranch
+		}
 	case y.leaf == leafConst:
 		a, k := x.ival(), y.k
 		return func(t *Thread, f *Frame) control {

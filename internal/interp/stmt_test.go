@@ -12,7 +12,7 @@ import (
 )
 
 // optimizing is the engine whose statements these tests exercise.
-func optimizing() *JIT { return &JIT{Fused: true, InlineCache: true} }
+func optimizing() *JIT { return &JIT{} }
 
 // coveringStmt returns the head pc of the statement that covers pc in the
 // optimizing engine's compilation of cls.key, or -1.
@@ -21,10 +21,7 @@ func coveringStmt(t *testing.T, src, cls, key string, pc int) int {
 	fx := newFixture(t, barrier.NoHeapPointer, memlimit.Unlimited)
 	fx.define(src)
 	m := fx.method(cls, key)
-	body, err := optimizing().compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := compile(m)
 	for h := pc; h >= 0; h-- {
 		if body.ops[h].stmt == nil {
 			continue
@@ -281,10 +278,7 @@ L1:	iload 1
 func TestStatementKillPendingDifferential(t *testing.T) {
 	fx := newFixture(t, barrier.NoHeapPointer, memlimit.Unlimited)
 	fx.define(killLoop)
-	body, err := optimizing().compile(fx.method("s/K", "main()I"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := compile(fx.method("s/K", "main()I"))
 	atHead := 0
 	for _, q := range []int64{1, 2, 3, 7, 13} {
 		for k := 1; k <= 16; k++ {

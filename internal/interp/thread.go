@@ -49,7 +49,7 @@ type Frame struct {
 	// slots backs Locals and Stack; it survives reuse and grows only when
 	// a method needs more slots than any earlier one at this depth.
 	slots []Slot
-	// body is the compiled body the JIT resolved on first entry, so
+	// body is the statement table the JIT resolved on first entry, so
 	// resuming the frame after a return does no lookup.
 	body *compiled
 }

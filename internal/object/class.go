@@ -103,15 +103,10 @@ type Method struct {
 	// (nil for catch-all handlers).
 	HandlerClasses []*Class
 
-	// Compiled is the table of closure-compiled bodies, one entry per
-	// engine variant; managed by the jit package. The table is replaced
-	// copy-on-write and published atomically, so readers take no lock.
-	Compiled atomic.Pointer[CompiledBodies]
+	// Compiled is the optimizing engine's compiled body, published once
+	// and read without a lock; its concrete type belongs to the engine.
+	Compiled atomic.Value
 }
-
-// CompiledBodies holds one compiled body per engine variant. The entries'
-// concrete type belongs to the execution engine.
-type CompiledBodies [4]any
 
 // Linked is the resolved form of one constant pool entry.
 type Linked struct {

@@ -193,6 +193,7 @@ func (s *Scheduler) Step() (bool, error) {
 	}
 
 	t := s.runq[0]
+	s.runq[0] = nil // the backing array must not keep a dead thread's process alive
 	s.runq = s.runq[1:]
 
 	// A kill posted while the thread was queued and parked is honoured

@@ -65,13 +65,16 @@ func (s *Server) roundTrip(tn *tenant, body []byte, t0 time.Time) response {
 	default:
 		return sh.socketShed(req)
 	}
+	// Defence in depth: the engine's expire pass answers every request by
+	// its deadline, so the backstop fires only if the engine loop itself
+	// is gone. Still: never hang a client. Stopped on return, so a pending
+	// timer does not outlive its request.
+	backstop := time.NewTimer(time.Until(req.deadline) + 5*time.Second)
+	defer backstop.Stop()
 	select {
 	case resp := <-req.resp:
 		return resp
-	case <-time.After(time.Until(req.deadline) + 5*time.Second):
-		// Defence in depth: the engine's expire pass answers every request
-		// by its deadline, so this fires only if the engine loop itself is
-		// gone. Still: never hang a client.
+	case <-backstop.C:
 		return response{status: http.StatusServiceUnavailable, body: "shed: engine unresponsive\n"}
 	}
 }

@@ -30,8 +30,8 @@ var pinnedCost = map[string]simCost{
 
 // TestSimulatedCostEngineIndependent holds the engines to the cost model:
 // every workload charges the same cycles, runs the same barriers and
-// collections and returns the same checksum on the interpreter, the plain
-// JIT and the optimizing JIT, and all of it equals the pinned table.
+// collections and returns the same checksum on the interpreter and the
+// optimizing JIT, and all of it equals the pinned table.
 func TestSimulatedCostEngineIndependent(t *testing.T) {
 	p := Platform{Name: "bench", FastExceptions: true, ThinLocks: true, Barrier: barrier.NoHeapPointer}
 	for _, w := range All() {
@@ -39,7 +39,7 @@ func TestSimulatedCostEngineIndependent(t *testing.T) {
 		if !ok {
 			t.Fatalf("no pinned cost for %s", w.Name)
 		}
-		for _, e := range []core.EngineKind{core.EngineInterp, core.EngineJIT, core.EngineJITOpt} {
+		for _, e := range []core.EngineKind{core.EngineInterp, core.EngineJITOpt} {
 			p.Engine = e
 			r, err := Run(w, p)
 			if err != nil {

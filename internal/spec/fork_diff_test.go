@@ -112,11 +112,10 @@ func baseline(t *testing.T, engine core.EngineKind, w *Workload) runShape {
 // same checksum, same simulated cycles, same final heap bytes — as a
 // freshly-initialized process.
 func TestForkedCloneIndistinguishable(t *testing.T) {
-	engines := []core.EngineKind{
-		core.EngineInterp, core.EngineInterpSpill, core.EngineJIT, core.EngineJITOpt,
-	}
+	engines := []core.EngineKind{core.EngineInterp, core.EngineInterpSpill, core.EngineJITOpt}
 	if testing.Short() {
-		engines = engines[:1]
+		// The engine whose clones share compiled code with the zygote.
+		engines = []core.EngineKind{core.EngineJITOpt}
 	}
 	for _, engine := range engines {
 		engine := engine

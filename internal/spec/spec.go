@@ -74,7 +74,7 @@ type Platform struct {
 func Platforms() []Platform {
 	return []Platform{
 		{Name: "IBM", Engine: core.EngineJITOpt, FastExceptions: true, ThinLocks: true, Barrier: barrier.NoBarrier},
-		{Name: "Kaffe00", Engine: core.EngineJIT, FastExceptions: true, ThinLocks: true, Barrier: barrier.NoBarrier},
+		{Name: "Kaffe00", Engine: core.EngineInterp, FastExceptions: true, ThinLocks: true, Barrier: barrier.NoBarrier},
 		{Name: "Kaffe99", Engine: core.EngineInterpSpill, FastExceptions: false, ThinLocks: false, Barrier: barrier.NoBarrier},
 		{Name: "KaffeOS-NoWriteBarrier", Engine: core.EngineInterpSpill, FastExceptions: true, ThinLocks: false, Barrier: barrier.NoBarrier},
 		{Name: "KaffeOS-HeapPointer", Engine: core.EngineInterpSpill, FastExceptions: true, ThinLocks: false, Barrier: barrier.HeapPointer},

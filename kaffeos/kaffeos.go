@@ -38,14 +38,12 @@ import (
 // Engine names an execution engine.
 type Engine string
 
-// The three engines, spanning the paper's platform spectrum.
+// The two engines, spanning the paper's platform spectrum.
 const (
-	// Interp is the baseline switch interpreter (Kaffe99-class). Default.
+	// Interp is the switch interpreter (Kaffe00-class). Default.
 	Interp Engine = "interp"
-	// JIT is the closure-compiling engine (Kaffe00-class).
-	JIT Engine = "jit"
-	// JITOpt adds statement compilation and inline caches (commercial-JIT
-	// class).
+	// JITOpt overlays compiled statements on the interpreter
+	// (commercial-JIT class).
 	JITOpt Engine = "jit-opt"
 )
 
@@ -152,8 +150,6 @@ func New(cfg Config) (*VM, error) {
 	eng := core.EngineInterp
 	switch cfg.Engine {
 	case "", Interp:
-	case JIT:
-		eng = core.EngineJIT
 	case JITOpt:
 		eng = core.EngineJITOpt
 	default:

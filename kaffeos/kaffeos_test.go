@@ -52,7 +52,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Barrier: "psychic"}); err == nil {
 		t.Error("bad barrier accepted")
 	}
-	for _, e := range []Engine{Interp, JIT, JITOpt} {
+	for _, e := range []Engine{Interp, JITOpt} {
 		for _, b := range []WriteBarrier{NoWriteBarrier, HeapPointer, NoHeapPointer, FakeHeapPointer} {
 			if _, err := New(Config{Engine: e, Barrier: b}); err != nil {
 				t.Errorf("New(%s,%s): %v", e, b, err)
