@@ -85,8 +85,11 @@ func checkKill(t *Thread) bool {
 // When the frame carries a statement table (f.body), the statement at f.PC
 // runs instead of the switch arm, but only if the quantum outlasts it and
 // no kill waits, so no instruction inside it could have yielded or been
-// killed here either. A statement that returns ctlRetry is refunded and
-// the pc runs through its arm.
+// killed here either. At a loop header whose whole iteration the quantum
+// outlasts, the loop statement runs iterations instead, until the loop
+// exits or the back edge's safepoint could stop it. A statement that
+// returns ctlRetry is refunded and the pc runs through its arm; a loop
+// that returns it has already refunded what did not run.
 func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 	env := t.Env
 	code := f.M.Code
@@ -106,9 +109,17 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 		}
 		if stmts != nil {
 			if op := &stmts[f.PC]; op.stmt != nil && t.Fuel > op.scost && !t.KillPending() {
-				t.Fuel -= op.scost
-				t.Cycles += uint64(op.scost)
-				switch op.stmt(t, f) {
+				var c control
+				if op.loop != nil && t.Fuel > op.iter {
+					c = op.loop(t, f)
+				} else {
+					t.Fuel -= op.scost
+					t.Cycles += uint64(op.scost)
+					if c = op.stmt(t, f); c == ctlRetry {
+						t.refund(op.scost)
+					}
+				}
+				switch c {
 				case ctlNext:
 					continue
 				case ctlBranch:
@@ -117,8 +128,6 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 					}
 					continue
 				}
-				t.Fuel += op.scost
-				t.Cycles -= uint64(op.scost)
 			}
 		}
 		in := instrs[f.PC]
@@ -140,7 +149,7 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 			case bytecode.KindInt:
 				f.push(IntSlot(k.I))
 			case bytecode.KindDouble:
-				f.push(IntSlot(int64(math.Float64bits(k.D))))
+				f.push(IntSlot(dbits(k.D)))
 			case bytecode.KindString:
 				s, err := env.Intern(t, k.S)
 				if err != nil {
@@ -637,7 +646,20 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 }
 
 func dval(bits int64) float64 { return math.Float64frombits(uint64(bits)) }
-func dbits(v float64) int64   { return int64(math.Float64bits(v)) }
+
+// dbits stores a double result. Every NaN stores as one canonical NaN:
+// Go leaves a NaN result's payload unspecified, and the compiler may
+// commute a*b, so the same operation at two code sites (a switch arm and
+// a statement) could otherwise store different bits, which integer ops on
+// the slot would then expose.
+func dbits(v float64) int64 {
+	if v != v {
+		return canonicalNaN
+	}
+	return int64(math.Float64bits(v))
+}
+
+const canonicalNaN = 0x7ff8000000000000
 
 // atBranch is the safepoint at calls: kill requests are honoured here. It
 // reports (result, stop).

@@ -33,8 +33,15 @@ package interp
 //     the pc through its switch arm, which throws from exactly the
 //     interpreter's frame.
 //
+// A loop whose header is a compare-and-branch statement and whose body is
+// one straight line of statements ending in a jump back to the header
+// gets a loop statement on the header (see "loops" below): one dispatch
+// runs iterations until the loop exits or the back edge's safepoint could
+// stop it.
+//
 // Statements capture only module-deterministic values — local indices,
-// constants, field slots, branch targets — so bodies stay relocatable.
+// constants, field slots, branch targets, other statements — so bodies
+// stay relocatable.
 
 import (
 	"repro/internal/bytecode"
@@ -153,6 +160,7 @@ func compileStatements(m *object.Method) []stmtOp {
 			b.target[h.PC] = true
 		}
 	}
+	ends := make([]int, n)
 	for pc := 0; pc < n; {
 		st, end, cost := b.build(pc)
 		if st == nil {
@@ -160,7 +168,13 @@ func compileStatements(m *object.Method) []stmtOp {
 			continue
 		}
 		ops[pc] = stmtOp{stmt: st, scost: cost}
+		ends[pc] = end
 		pc = end
+	}
+	for h := range ops {
+		if ops[h].stmt != nil {
+			ops[h].loop, ops[h].iter = b.loop(ops, ends, h)
+		}
 	}
 	return ops
 }
@@ -652,17 +666,17 @@ func getfieldNode(o sexpr, slot int, ref bool) sexpr {
 	}}
 }
 
-// inBounds is the array check of the per-instruction path.
-func inBounds(arr *object.Object, idx int64) bool {
-	return arr != nil && idx >= 0 && idx < int64(arr.ArrayLen())
-}
+// primIn and refIn are the per-instruction path's array checks, made
+// against the slice the access indexes.
+func primIn(p *object.Object, i int64) bool { return p != nil && uint64(i) < uint64(len(p.Prims)) }
+func refIn(p *object.Object, i int64) bool  { return p != nil && uint64(i) < uint64(len(p.Refs)) }
 
 func arrayLoadNode(arr, idx sexpr, refs bool) sexpr {
 	if refs {
 		a, x := arr.rval(), idx.ival()
 		return sexpr{ref: true, r: func(t *Thread, f *Frame) *object.Object {
 			p, i := a(t, f), x(t, f)
-			if !inBounds(p, i) {
+			if !refIn(p, i) {
 				t.stmtFailed = true
 				return nil
 			}
@@ -675,7 +689,7 @@ func arrayLoadNode(arr, idx sexpr, refs bool) sexpr {
 			ii := idx.k
 			return sexpr{i: func(t *Thread, f *Frame) int64 {
 				p, i := f.Locals[ai].R, f.Locals[ii].I
-				if !inBounds(p, i) {
+				if !primIn(p, i) {
 					t.stmtFailed = true
 					return 0
 				}
@@ -686,7 +700,7 @@ func arrayLoadNode(arr, idx sexpr, refs bool) sexpr {
 		return sexpr{i: func(t *Thread, f *Frame) int64 {
 			i := x(t, f)
 			p := f.Locals[ai].R
-			if !inBounds(p, i) {
+			if !primIn(p, i) {
 				t.stmtFailed = true
 				return 0
 			}
@@ -696,7 +710,7 @@ func arrayLoadNode(arr, idx sexpr, refs bool) sexpr {
 	a, x := arr.rval(), idx.ival()
 	return sexpr{i: func(t *Thread, f *Frame) int64 {
 		p, i := a(t, f), x(t, f)
-		if !inBounds(p, i) {
+		if !primIn(p, i) {
 			t.stmtFailed = true
 			return 0
 		}
@@ -790,7 +804,7 @@ func iastoreStmt(arr, idx, v sexpr, used, next int, ctl control) closure {
 		return func(t *Thread, f *Frame) control {
 			n := x(t, f)
 			p, i := f.Locals[ai].R, f.Locals[ii].I
-			if failed(t) || !inBounds(p, i) {
+			if failed(t) || !primIn(p, i) {
 				return ctlRetry
 			}
 			f.SP -= used
@@ -802,7 +816,7 @@ func iastoreStmt(arr, idx, v sexpr, used, next int, ctl control) closure {
 	a, ix := arr.rval(), idx.ival()
 	return func(t *Thread, f *Frame) control {
 		p, i, n := a(t, f), ix(t, f), x(t, f)
-		if failed(t) || !inBounds(p, i) {
+		if failed(t) || !primIn(p, i) {
 			return ctlRetry
 		}
 		f.SP -= used
@@ -1055,5 +1069,103 @@ func acmpStmt(x, y rval, eq bool, tgt, fall, used int) closure {
 		f.SP -= used
 		f.branch(a == b, taken, other)
 		return ctlBranch
+	}
+}
+
+// ---- loops ----
+//
+// A loop statement runs whole iterations of a loop whose header is a
+// conditional-branch statement and whose body is one straight line of
+// statements ending in a jump back to the header. It is exact by the
+// statements' own argument:
+//
+//   - an iteration runs only when the quantum exceeds its whole cost
+//     (execFrame, then the back edge), so no instruction inside it could
+//     have yielded; it is charged when it starts, and every early exit
+//     refunds what did not run;
+//   - when the header exits, f.PC is the exit and ctlBranch makes
+//     execFrame run the branch's safepoint, as for the header alone;
+//   - the back edge returns ctlBranch, with f.PC at the header, when the
+//     next iteration might not fit or a kill is pending, so execFrame runs
+//     the back edge's safepoint and the per-statement path takes over;
+//   - a statement that fails a check refunds itself and the rest of the
+//     iteration and returns ctlRetry with f.PC at its head, whose switch
+//     arm then runs (execFrame refunds nothing more for a loop);
+//   - statements never call, allocate or lock, so only another goroutine
+//     can set this thread's kill flag inside an iteration: testing it at
+//     the back edge alone equals the request arriving one body later.
+
+// loop compiles the loop headed by the statement at h, returning its
+// closure and the cost of one iteration, or nil.
+func (b *stmtBuilder) loop(ops []stmtOp, ends []int, h int) (closure, int64) {
+	instrs := b.m.Code.Instrs
+	start := ends[h]
+	if br := instrs[start-1]; !br.Op.IsBranch() || br.Op == bytecode.GOTO {
+		return nil, 0
+	}
+	var body loopBody
+	iter := ops[h].scost
+	for pc := start; ; pc = ends[pc] {
+		if pc >= len(ops) || ops[pc].stmt == nil {
+			return nil, 0
+		}
+		body.stmts = append(body.stmts, ops[pc].stmt)
+		body.heads = append(body.heads, pc)
+		body.rest = append(body.rest, ops[pc].scost)
+		iter += ops[pc].scost
+		last := instrs[ends[pc]-1]
+		if last.Op == bytecode.GOTO {
+			if int(last.A) != h {
+				return nil, 0
+			}
+			break
+		}
+		if last.Op.IsBranch() {
+			return nil, 0
+		}
+	}
+	for i := len(body.rest) - 2; i >= 0; i-- {
+		body.rest[i] += body.rest[i+1]
+	}
+	return loopStmt(ops[h].stmt, body, start, ops[h].scost, iter), iter
+}
+
+// loopBody is the straight line of statements after a loop header. rest[i]
+// is the summed cost of stmts[i:], refunded when stmts[i] retries.
+type loopBody struct {
+	stmts []closure
+	heads []int
+	rest  []int64
+}
+
+// loopStmt runs whole iterations of a loop: it calls the header statement,
+// leaves when the header branches anywhere but start, and runs the body,
+// whose last statement jumps back to the header.
+func loopStmt(hdr closure, body loopBody, start int, hcost, iter int64) closure {
+	return func(t *Thread, f *Frame) control {
+		for {
+			t.Fuel -= iter
+			t.Cycles += uint64(iter)
+			if hdr(t, f) == ctlRetry {
+				t.refund(iter)
+				return ctlRetry
+			}
+			if f.PC != start {
+				t.refund(iter - hcost)
+				return ctlBranch
+			}
+			for n, s := range body.stmts {
+				if s(t, f) == ctlRetry {
+					t.refund(body.rest[n])
+					f.PC = body.heads[n]
+					return ctlRetry
+				}
+			}
+			// The back edge's safepoint: stop where the per-statement
+			// path could yield or be killed.
+			if t.Fuel <= iter || t.KillPending() {
+				return ctlBranch
+			}
+		}
 	}
 }

@@ -304,7 +304,10 @@ func TestStatementKillPendingDifferential(t *testing.T) {
 // kind — a local store, iinc+goto, iastore, putfield, a forward branch —
 // or in a block end that leaves values for per-instruction code. Nulls,
 // out-of-range indices and zero divisors occur, so statements bail out;
-// a catch-all handler folds the locals into the result.
+// a catch-all handler folds the locals into the result. Two programs in
+// three wrap the segments in a loop over local 8, under one of several
+// headers and stepped by iinc or by iadd; istore, and mostly pick
+// segments a loop statement can hold.
 func genStatements(rng *rand.Rand) string {
 	var b strings.Builder
 	emit := func(format string, args ...any) { fmt.Fprintf(&b, "\t"+format+"\n", args...) }
@@ -322,10 +325,11 @@ func genStatements(rng *rand.Rand) string {
 .end
 .class r/Main
 .method main ()I static
-.locals 8
+.locals 10
 .stack 24
 `)
-	// Locals: 0-3 ints, 4 a double, 5 an int array, 6 an r/R, 7 an r/R array.
+	// Locals: 0-3 ints, 4 a double, 5 an int array, 6 an r/R, 7 an r/R
+	// array, 8 and 9 the loop's counter and limit.
 	for i := 0; i < 4; i++ {
 		emit("ldc %d", rng.Int63n(1<<20)-1<<19)
 		emit("istore %d", i)
@@ -442,6 +446,10 @@ func genStatements(rng *rand.Rand) string {
 	}
 
 	segs := 6 + rng.Intn(20)
+	loop := rng.Intn(3)
+	if loop > 0 {
+		segs = 2 + rng.Intn(5)
+	}
 	label := func(i int) string {
 		if i >= segs {
 			return "END"
@@ -450,10 +458,35 @@ func genStatements(rng *rand.Rand) string {
 	}
 	later := func(i int) string { return label(i + 1 + rng.Intn(segs-i)) }
 	conds := []string{"eq", "ne", "lt", "ge", "gt", "le"}
+	if loop > 0 {
+		emit("iconst 0")
+		emit("istore 8")
+		emit("ldc %d", rng.Intn(40))
+		emit("istore 9")
+		b.WriteString("LH:")
+		switch rng.Intn(6) {
+		case 0:
+			emit("iload 8\n\tiload 9\n\tif_icmpge END")
+		case 1:
+			emit("iload 9\n\tiload 8\n\tif_icmple END")
+		case 2:
+			emit("iload 8\n\tldc %d\n\tif_icmpge END", rng.Intn(40))
+		case 3:
+			emit("iload 8\n\taload 5\n\tarraylength\n\tif_icmpge END")
+		case 4:
+			emit("aload 5\n\tarraylength\n\tiload 8\n\tif_icmple END")
+		default:
+			emit("iload 8\n\tiload 0\n\ticonst 3\n\tiand\n\tiadd\n\tiload 9\n\tif_icmpge END")
+		}
+	}
 	for i := 0; i < segs; i++ {
 		fmt.Fprintf(&b, "%s:", label(i))
 		d := 1 + rng.Intn(3)
-		switch rng.Intn(14) {
+		kind := rng.Intn(14)
+		if loop > 0 && rng.Intn(16) > 0 {
+			kind = rng.Intn(5) // the kinds a loop statement can hold
+		}
+		switch kind {
 		case 0:
 			genInt(d)
 			emit("istore %d", rng.Intn(4))
@@ -510,6 +543,11 @@ func genStatements(rng *rand.Rand) string {
 			emit("istore %d", rng.Intn(4))
 			emit("goto %s", later(i))
 		}
+	}
+	if loop == 1 {
+		emit("iinc 8 1\n\tgoto LH")
+	} else if loop == 2 {
+		emit("iload 8\n\ticonst 1\n\tiadd\n\tistore 8\n\tgoto LH")
 	}
 	b.WriteString("END:")
 	emit("iload 0")

@@ -59,13 +59,10 @@ type Object struct {
 // IsArray reports whether o is an array instance.
 func (o *Object) IsArray() bool { return o.Class.IsArray }
 
-// ArrayLen reports the element count of an array object.
-func (o *Object) ArrayLen() int {
-	if o.Class.ElemDesc.Ref() {
-		return len(o.Refs)
-	}
-	return len(o.Prims)
-}
+// ArrayLen reports the element count of an array object. NewArray
+// allocates exactly one of Refs and Prims, so the sum is that slice's
+// length and reading it touches no class. Every caller passes an array.
+func (o *Object) ArrayLen() int { return len(o.Refs) + len(o.Prims) }
 
 // Marked reports the GC mark bit.
 func (o *Object) Marked() bool { return o.Flags&FlagMark != 0 }

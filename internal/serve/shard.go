@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strings"
@@ -500,10 +501,22 @@ func (sh *shard) marshal(tn *tenant, r *request) (*object.Object, error) {
 		}
 	}
 	arr.Prims[0] = int64(len(body))
-	for i, b := range body {
-		arr.Prims[1+i/4] |= int64(b) << uint(8*(i%4))
-	}
+	packBody(arr.Prims[1:], body)
 	return arr, nil
+}
+
+// packBody stores body into words four little-endian bytes at a time, the
+// layout the servlet's int[] unpacks. dst is zeroed and holds at least
+// (len(body)+3)/4 words.
+func packBody(dst []int64, body []byte) {
+	w := 0
+	for ; len(body) >= 4; w++ {
+		dst[w] = int64(binary.LittleEndian.Uint32(body))
+		body = body[4:]
+	}
+	for i, b := range body {
+		dst[w] |= int64(b) << uint(8*i)
+	}
 }
 
 // reapAll collects finished request threads and detects tenant deaths.

@@ -1,8 +1,35 @@
 package spec
 
 import (
+	"sync"
 	"testing"
 )
+
+// runs memoizes Run per (workload, platform): several tests below share a
+// configuration, and each runs at most once per test binary.
+var runs = struct {
+	sync.Mutex
+	m map[string]*memoRun
+}{m: make(map[string]*memoRun)}
+
+type memoRun struct {
+	once sync.Once
+	res  Result
+	err  error
+}
+
+// run is Run(w, p), memoized.
+func run(w *Workload, p Platform) (Result, error) {
+	runs.Lock()
+	r, ok := runs.m[w.Name+"/"+p.Name]
+	if !ok {
+		r = new(memoRun)
+		runs.m[w.Name+"/"+p.Name] = r
+	}
+	runs.Unlock()
+	r.once.Do(func() { r.res, r.err = Run(w, p) })
+	return r.res, r.err
+}
 
 // referencePlatform is the checksum oracle.
 func referencePlatform() Platform {
@@ -11,10 +38,12 @@ func referencePlatform() Platform {
 }
 
 func TestWorkloadsRunAndChecksum(t *testing.T) {
+	t.Parallel()
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			res, err := Run(w, referencePlatform())
+			t.Parallel()
+			res, err := run(w, referencePlatform())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -25,31 +54,37 @@ func TestWorkloadsRunAndChecksum(t *testing.T) {
 }
 
 func TestChecksumsStableAcrossPlatforms(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("cross-platform sweep is slow")
 	}
 	for _, w := range []*Workload{Compress(), DB(), Jack()} {
-		var ref int64
-		for i, p := range Platforms() {
-			res, err := Run(w, p)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", w.Name, p.Name, err)
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			for _, p := range Platforms() {
+				p := p
+				t.Run(p.Name, func(t *testing.T) {
+					t.Parallel()
+					res, err := run(w, p)
+					if err != nil {
+						t.Fatalf("%s on %s: %v", w.Name, p.Name, err)
+					}
+					if res.Checksum != w.Checksum {
+						t.Errorf("%s: checksum %d on %s, want %d", w.Name, res.Checksum, p.Name, w.Checksum)
+					}
+				})
 			}
-			if i == 0 {
-				ref = res.Checksum
-			} else if res.Checksum != ref {
-				t.Errorf("%s: checksum differs on %s: %d vs %d", w.Name, p.Name, res.Checksum, ref)
-			}
-		}
+		})
 	}
 }
 
 func TestBarrierDensityShape(t *testing.T) {
+	t.Parallel()
 	// Table 1's shape: compress executes almost no barriers; db the most.
 	kaffeOS, _ := PlatformByName("KaffeOS-NoHeapPointer")
 	counts := map[string]uint64{}
 	for _, w := range All() {
-		res, err := Run(w, kaffeOS)
+		res, err := run(w, kaffeOS)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -73,8 +108,9 @@ func TestBarrierDensityShape(t *testing.T) {
 }
 
 func TestNoBarriersOnNoBarrierPlatforms(t *testing.T) {
+	t.Parallel()
 	p, _ := PlatformByName("Kaffe99")
-	res, err := Run(DB(), p)
+	res, err := run(DB(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
