@@ -2,8 +2,8 @@
 //
 // The auditor takes a globally consistent snapshot of every accounting
 // structure in the VM — every heap, the cross-heap entry/exit items, the
-// hierarchical memlimit tree, the simulated page table, and the shared-heap
-// charge table — and re-derives the kernel's bookkeeping from first
+// hierarchical memlimit tree, the simulated page table, and the sharing
+// ledger — and re-derives the kernel's bookkeeping from first
 // principles, reporting every place where the books disagree. It is the
 // correctness oracle for the fault-injection plane (package faults): after
 // injected allocation failures, mid-GC kills, spurious segmentation
@@ -18,10 +18,9 @@
 //     item in the target heap whose reference count equals the number of
 //     source heaps holding a matching exit;
 //   - memory charged to every memlimit equals the memory attributable to it:
-//     heap bytes + standing lease + entry/exit item bytes + shared-heap
-//     attach charges + code-cache charges (full artifact size per sharer,
-//     plus residency on the cache's base limit), after subtracting child
-//     reservations;
+//     heap bytes + standing lease + entry/exit item bytes + the full size
+//     of every ledger entry it shares + the residency of every code entry
+//     it is home to, after subtracting child reservations;
 //   - every mapped page is owned by a live heap, and each heap's chunk list
 //     covers exactly the pages the table says it owns;
 //   - (graph mode) every cross-heap reference in the object graph is backed
@@ -45,25 +44,19 @@ import (
 )
 
 // World is the consistent snapshot the auditor checks. Capture order
-// matters: the shared charge table must be captured under the shared
-// manager's lock around the heap snapshot (shared.Manager.Snapshot), and
+// matters: the ledger must be captured in one critical section of its
+// lock around the heap snapshot (shared.Ledger.Snapshot), and
 // Limits/Pages inside the heap snapshot's extra callback, so that all four
 // describe the same instant.
 type World struct {
 	Heaps  []heap.HeapView
 	Limits *memlimit.Node
 	Pages  map[uint64]vmaddr.HeapID
-	Shared []shared.ChargeInfo
-	// Code is the shared-code-cache charge table (empty when the cache
-	// is off). Every sharer owes Size; the cache's base limit owes Size
-	// per resident artifact (code has no heap backing — the modeled
-	// bytes live only in the memlimit tree). The type is local rather
-	// than codecache.ChargeInfo so the auditor — which fault-injection
-	// tests pull into low-level packages — does not transitively import
-	// the execution engine.
-	Code []CodeCharge
-	// CodeLimit is the cache's base limit (nil when the cache is off).
-	CodeLimit *memlimit.Limit
+	// Ledger is every sharing entry, shared heaps and code artifacts
+	// alike: every sharer owes Size, and a code entry's home owes Size
+	// for its residency (code has no heap backing — the modeled bytes
+	// live only in the memlimit tree).
+	Ledger []shared.ChargeInfo
 	// KernelID identifies the kernel heap.
 	KernelID vmaddr.HeapID
 	// LivePids, when non-nil, is the set of processes not yet reclaimed;
@@ -72,15 +65,6 @@ type World struct {
 	// TemplatePids, when non-nil, is the set of registered process
 	// templates; template heaps must belong to one of them.
 	TemplatePids map[int32]bool
-}
-
-// CodeCharge mirrors codecache.ChargeInfo: one resident artifact's
-// charge state at the snapshot instant.
-type CodeCharge struct {
-	Name    string
-	Variant string
-	Size    uint64
-	Sharers []*memlimit.Limit
 }
 
 // Options selects optional checks.
@@ -161,7 +145,7 @@ func Check(w World, opts Options) *Report {
 	c.checkItems()
 	c.checkPages()
 	c.checkLimits()
-	c.checkShared()
+	c.checkLedger()
 	c.checkPids()
 	c.checkTemplates()
 	if opts.Graph {
@@ -333,8 +317,8 @@ func (c *checker) checkPages() {
 	}
 }
 
-// checkLimits: re-derive every limit's direct use from the heaps and shared
-// charges that bill it.
+// checkLimits: re-derive every limit's direct use from the heaps and ledger
+// entries that bill it.
 func (c *checker) checkLimits() {
 	if c.w.Limits == nil {
 		return
@@ -344,21 +328,13 @@ func (c *checker) checkLimits() {
 		v := &c.w.Heaps[i]
 		expected[v.Limit] += v.Bytes + v.Lease + v.EntryBytes + v.ExitBytes
 	}
-	for _, ci := range c.w.Shared {
-		for _, lim := range ci.Sharers {
-			expected[lim] += ci.Size
+	for _, e := range c.w.Ledger {
+		for _, lim := range e.Sharers {
+			expected[lim] += e.Size
 		}
-	}
-	for _, ci := range c.w.Code {
-		for _, lim := range ci.Sharers {
-			expected[lim] += ci.Size
+		if e.Heap == nil && e.Home != nil {
+			expected[e.Home] += e.Size
 		}
-		if c.w.CodeLimit == nil {
-			c.fail("code-limit", "code artifact %q (%s) is resident but the cache has no base limit",
-				ci.Name, ci.Variant)
-			continue
-		}
-		expected[c.w.CodeLimit] += ci.Size
 	}
 	known := make(map[*memlimit.Limit]bool)
 	var walk func(n *memlimit.Node)
@@ -380,7 +356,7 @@ func (c *checker) checkLimits() {
 			c.fail("limit-reconcile", "limit %q: use %d is less than the %d its children account for",
 				n.Name, n.Use, reserved)
 		} else if direct := n.Use - reserved; direct != expected[n.Limit] {
-			c.fail("limit-reconcile", "limit %q: direct use %d but heaps and shared charges account for %d",
+			c.fail("limit-reconcile", "limit %q: direct use %d but heaps and ledger charges account for %d",
 				n.Name, direct, expected[n.Limit])
 		}
 		for _, child := range n.Children {
@@ -396,36 +372,32 @@ func (c *checker) checkLimits() {
 	}
 }
 
-// checkShared: frozen shared heaps have fixed size; unfrozen ones still have
-// their population-phase limit.
-func (c *checker) checkShared() {
-	for _, ci := range c.w.Shared {
-		v, ok := c.byID[ci.Heap.ID]
-		if !ok {
-			c.fail("shared-dead", "shared heap %q is registered but its heap %d is dead", ci.Name, ci.Heap.ID)
+// checkLedger: no entry has sharers before it is frozen; a heap entry's
+// heap is live, charges the entry's home (the population limit, then the
+// base once frozen), agrees on the freeze, and once frozen holds exactly
+// Size bytes. (A code entry's home is checked by checkLimits.)
+func (c *checker) checkLedger() {
+	for _, e := range c.w.Ledger {
+		if !e.Frozen && len(e.Sharers) != 0 {
+			c.fail("shared-premature", "unfrozen entry %q already has %d sharer(s)", e.Name, len(e.Sharers))
+		}
+		if e.Heap == nil {
 			continue
 		}
-		if ci.Frozen {
-			if !v.Frozen {
-				c.fail("shared-frozen", "shared heap %q is frozen in the manager but not in the heap", ci.Name)
-			}
-			if v.Bytes != ci.Size {
-				c.fail("shared-size", "frozen shared heap %q: fixed size %d but heap holds %d bytes",
-					ci.Name, ci.Size, v.Bytes)
-			}
-			if ci.CreateLimit != nil {
-				c.fail("shared-limit", "frozen shared heap %q still has a population limit", ci.Name)
-			}
-		} else {
-			if v.Frozen {
-				c.fail("shared-frozen", "shared heap %q is frozen in the heap but not in the manager", ci.Name)
-			}
-			if ci.CreateLimit == nil {
-				c.fail("shared-limit", "unfrozen shared heap %q has no population limit", ci.Name)
-			}
-			if len(ci.Sharers) != 0 {
-				c.fail("shared-premature", "unfrozen shared heap %q already has %d sharer(s)", ci.Name, len(ci.Sharers))
-			}
+		v, ok := c.byID[e.Heap.ID]
+		if !ok {
+			c.fail("shared-dead", "shared heap %q is registered but its heap %d is dead", e.Name, e.Heap.ID)
+			continue
+		}
+		if v.Frozen != e.Frozen {
+			c.fail("shared-frozen", "shared heap %q: frozen %v in the ledger but %v in the heap", e.Name, e.Frozen, v.Frozen)
+		}
+		if e.Frozen && v.Bytes != e.Size {
+			c.fail("shared-size", "frozen shared heap %q: fixed size %d but heap holds %d bytes",
+				e.Name, e.Size, v.Bytes)
+		}
+		if v.Limit != e.Home {
+			c.fail("shared-limit", "shared heap %q charges a limit other than its ledger home", e.Name)
 		}
 	}
 }

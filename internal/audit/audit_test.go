@@ -8,6 +8,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/memlimit"
 	"repro/internal/object"
+	"repro/internal/shared"
 	"repro/internal/vmaddr"
 )
 
@@ -220,6 +221,66 @@ func TestDetectsAccountingCorruption(t *testing.T) {
 		k := w.alloc(t, w.kernel)
 		mod.Heaps[0].Entries[k] = 3 // phantom entry item, no exits back it
 		wantViolation(t, Check(mod, Options{}), "entry-refcount")
+	})
+	// Sharer charges, on a heap entry and on a code entry: dropping a
+	// sharer, adding a phantom one, or changing an entry's size must each
+	// fail the limit reconciliation.
+	t.Run("sharer-charges", func(t *testing.T) {
+		w := newWorld(t)
+		mgr := shared.NewManager(w.reg, w.root.MustChild("shared-heaps", memlimit.Unlimited, false))
+		creator := w.root.MustChild("creator", 1<<20, false)
+		sh, err := mgr.Create("box", creator, 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.Root = w.alloc(t, sh.H)
+		if err := mgr.Freeze(sh); err != nil {
+			t.Fatal(err)
+		}
+		code := &shared.Entry{Name: "mod", Size: 4096}
+		if err := mgr.Ledger.Add(code, w.root.MustChild("codecache", memlimit.Unlimited, false)); err != nil {
+			t.Fatal(err)
+		}
+		sharer := w.root.MustChild("sharer", 1<<20, false)
+		phantom := w.root.MustChild("phantom", 1<<20, false)
+		for _, e := range []*shared.Entry{&sh.Entry, code} {
+			if err := mgr.Ledger.Attach(e, "sharer", sharer); err != nil {
+				t.Fatal(err)
+			}
+		}
+		capture := func() World {
+			var aw World
+			mgr.Snapshot(func(entries []shared.ChargeInfo) {
+				aw = w.capture()
+				aw.Ledger = entries
+			})
+			return aw
+		}
+		wantOK(t, Check(capture(), Options{Graph: true}))
+
+		for _, name := range []string{"heap", "code"} {
+			kind := map[string]shared.Kind{"heap": shared.KindHeap, "code": shared.KindCode}[name]
+			tamper := func(f func(e *shared.ChargeInfo)) World {
+				aw := capture()
+				for i := range aw.Ledger {
+					if aw.Ledger[i].Kind == kind {
+						f(&aw.Ledger[i])
+					}
+				}
+				return aw
+			}
+			t.Run(name+"/dropped-sharer", func(t *testing.T) {
+				wantViolation(t, Check(tamper(func(e *shared.ChargeInfo) { e.Sharers = nil }), Options{}), "limit-reconcile")
+			})
+			t.Run(name+"/phantom-sharer", func(t *testing.T) {
+				wantViolation(t, Check(tamper(func(e *shared.ChargeInfo) {
+					e.Sharers = append(e.Sharers, phantom)
+				}), Options{}), "limit-reconcile")
+			})
+			t.Run(name+"/size", func(t *testing.T) {
+				wantViolation(t, Check(tamper(func(e *shared.ChargeInfo) { e.Size += 8 }), Options{}), "limit-reconcile")
+			})
+		}
 	})
 }
 

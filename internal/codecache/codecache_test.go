@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/memlimit"
+	"repro/internal/shared"
 	"repro/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ func testManager(t *testing.T) (*Manager, *memlimit.Limit) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(base), root
+	return NewManager(new(shared.Ledger), base), root
 }
 
 func testKey(b byte, variant string) Key {
@@ -49,43 +50,43 @@ func TestAttachDetachExactCharges(t *testing.T) {
 	if a.Size != prog.Size() || a.Size == 0 {
 		t.Fatalf("artifact size %d, program %d", a.Size, prog.Size())
 	}
-	if got := m.Base().Use(); got != a.Size {
+	if got := m.base.Use(); got != a.Size {
 		t.Fatalf("base use %d after insert, want %d", got, a.Size)
 	}
 
 	limA := sharerLimit(t, root, "proc:a")
 	limB := sharerLimit(t, root, "proc:b")
 	whoA, whoB := new(int), new(int)
-	if err := m.Attach(a, whoA, limA); err != nil {
+	if err := m.book.Attach(&a.Entry, whoA, limA); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Attach(a, whoA, limA); err != nil { // idempotent
+	if err := m.book.Attach(&a.Entry, whoA, limA); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := m.Attach(a, whoB, limB); err != nil {
+	if err := m.book.Attach(&a.Entry, whoB, limB); err != nil {
 		t.Fatal(err)
 	}
 	if limA.Use() != a.Size || limB.Use() != a.Size {
 		t.Fatalf("sharers charged %d/%d, want %d each (full charging, not 1/n)",
 			limA.Use(), limB.Use(), a.Size)
 	}
-	if got := m.BytesFor(whoA); got != a.Size {
+	if got := m.book.BytesFor(whoA, shared.KindCode); got != a.Size {
 		t.Fatalf("BytesFor = %d, want %d", got, a.Size)
 	}
 
-	m.Detach(a, whoA)
+	m.book.Detach(&a.Entry, whoA)
 	if limA.Use() != 0 {
 		t.Fatalf("first detach left %d charged", limA.Use())
 	}
 	if limB.Use() != a.Size {
 		t.Fatalf("detaching A disturbed B's charge: %d", limB.Use())
 	}
-	m.Detach(a, whoB) // last detach frees exactly the charged bytes
+	m.book.Detach(&a.Entry, whoB) // last detach frees exactly the charged bytes
 	if limB.Use() != 0 {
 		t.Fatalf("last detach left %d charged", limB.Use())
 	}
-	m.Detach(a, whoB) // detaching a non-sharer is a no-op
-	if got := m.Base().Use(); got != a.Size {
+	m.book.Detach(&a.Entry, whoB) // detaching a non-sharer is a no-op
+	if got := m.base.Use(); got != a.Size {
 		t.Fatalf("base use %d after detaches, want %d (residency is independent of sharers)", got, a.Size)
 	}
 	limA.Release()
@@ -108,11 +109,11 @@ func TestInsertDuplicateKey(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("duplicate insert returned a different artifact")
 	}
-	if got := m.Base().Use(); got != p1.Size() {
+	if got := m.base.Use(); got != p1.Size() {
 		t.Fatalf("base use %d, want %d (no double charge)", got, p1.Size())
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
+	if len(m.Artifacts()) != 1 {
+		t.Fatalf("%d artifacts, want 1", len(m.Artifacts()))
 	}
 }
 
@@ -124,8 +125,8 @@ func TestVariantsAreDistinct(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 distinct variants", m.Len())
+	if len(m.Artifacts()) != 4 {
+		t.Fatalf("%d artifacts, want 4 distinct variants", len(m.Artifacts()))
 	}
 	if _, ok := m.Lookup(testKey(7, "jit+fuse")); !ok {
 		t.Fatal("variant lookup missed")
@@ -149,7 +150,7 @@ func TestEvictOrphansSparesLiveSharers(t *testing.T) {
 	}
 	lim := sharerLimit(t, root, "proc:a")
 	who := new(int)
-	if err := m.Attach(held, who, lim); err != nil {
+	if err := m.book.Attach(&held.Entry, who, lim); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,7 +164,7 @@ func TestEvictOrphansSparesLiveSharers(t *testing.T) {
 	if _, ok := m.Lookup(orphan.Key); ok {
 		t.Fatal("orphan survived eviction")
 	}
-	if got := m.Base().Use(); got != held.Size {
+	if got := m.base.Use(); got != held.Size {
 		t.Fatalf("base use %d after eviction, want %d", got, held.Size)
 	}
 	if lim.Use() != held.Size {
@@ -171,11 +172,11 @@ func TestEvictOrphansSparesLiveSharers(t *testing.T) {
 	}
 
 	// Once the sharer detaches, the artifact becomes evictable.
-	m.Detach(held, who)
+	m.book.Detach(&held.Entry, who)
 	if freed := m.EvictOrphans(); freed != held.Size {
 		t.Fatalf("post-detach eviction freed %d, want %d", freed, held.Size)
 	}
-	if got := m.Base().Use(); got != 0 {
+	if got := m.base.Use(); got != 0 {
 		t.Fatalf("base use %d after full eviction, want 0", got)
 	}
 	lim.Release()
@@ -188,7 +189,7 @@ func TestAttachFaultUnwindsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Faults = faults.NewPlane(plan)
+	m.book.Faults = faults.NewPlane(plan)
 	a, err := m.Insert(testKey(1, "jit"), "mod", interp.SyntheticProgram(3, 30))
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +197,8 @@ func TestAttachFaultUnwindsCleanly(t *testing.T) {
 	lim := sharerLimit(t, root, "proc:a")
 	who := new(int)
 
-	err = m.Attach(a, who, lim)
-	if !errors.Is(err, ErrAttachFault) {
+	err = m.book.Attach(&a.Entry, who, lim)
+	if !errors.Is(err, shared.ErrAttachFault) {
 		t.Fatalf("attach err = %v, want ErrAttachFault", err)
 	}
 	if lim.Use() != 0 {
@@ -208,13 +209,13 @@ func TestAttachFaultUnwindsCleanly(t *testing.T) {
 	}
 
 	// The site fired once (@1); the retry succeeds and charges normally.
-	if err := m.Attach(a, who, lim); err != nil {
+	if err := m.book.Attach(&a.Entry, who, lim); err != nil {
 		t.Fatal(err)
 	}
 	if lim.Use() != a.Size || a.Sharers() != 1 {
 		t.Fatalf("retry charged %d bytes, %d sharers", lim.Use(), a.Sharers())
 	}
-	m.Detach(a, who)
+	m.book.Detach(&a.Entry, who)
 	lim.Release()
 }
 
@@ -229,7 +230,7 @@ func TestAttachOverLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Attach(a, new(int), lim); err == nil {
+	if err := m.book.Attach(&a.Entry, new(int), lim); err == nil {
 		t.Fatal("attach fit into a 16-byte limit")
 	}
 	if lim.Use() != 0 || a.Sharers() != 0 {
@@ -266,14 +267,14 @@ func TestConcurrentAttachDetachKill(t *testing.T) {
 				a := arts[(w+r)%artifacts]
 				switch r % 3 {
 				case 0:
-					_ = m.Attach(a, who, lim)
+					_ = m.book.Attach(&a.Entry, who, lim)
 				case 1:
-					m.Detach(a, who)
+					m.book.Detach(&a.Entry, who)
 				case 2: // kill: drop every handle at once
-					m.DetachAll(who)
+					m.book.DetachAll(who)
 				}
 			}
-			m.DetachAll(who)
+			m.book.DetachAll(who)
 			if got := lim.Use(); got != 0 {
 				t.Errorf("worker %d: %d bytes still charged after DetachAll", w, got)
 			}
@@ -289,7 +290,7 @@ func TestConcurrentAttachDetachKill(t *testing.T) {
 		}
 		want += a.Size
 	}
-	if got := m.Base().Use(); got != want {
+	if got := m.base.Use(); got != want {
 		t.Fatalf("base use %d after churn, want %d", got, want)
 	}
 }
@@ -302,15 +303,15 @@ func TestSnapshotConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	lim := sharerLimit(t, root, "proc:a")
-	if err := m.Attach(a, new(int), lim); err != nil {
+	if err := m.book.Attach(&a.Entry, new(int), lim); err != nil {
 		t.Fatal(err)
 	}
-	m.Snapshot(func(infos []ChargeInfo) {
+	m.book.Snapshot(func(infos []shared.ChargeInfo) {
 		if len(infos) != 1 {
 			t.Fatalf("snapshot has %d artifacts, want 1", len(infos))
 		}
 		ci := infos[0]
-		if ci.Name != "mod" || ci.Variant != "jit" || ci.Size != a.Size {
+		if ci.Kind != shared.KindCode || ci.Name != "mod" || ci.Home != m.base || ci.Heap != nil || ci.Size != a.Size {
 			t.Fatalf("snapshot row %+v", ci)
 		}
 		if len(ci.Sharers) != 1 || ci.Sharers[0] != lim {
@@ -324,7 +325,7 @@ func TestSnapshotConsistency(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	m, root := testManager(t)
 	scope := telemetry.NewRegistry().Kernel()
-	m.Metrics = scope
+	m.book.Metrics = scope
 
 	key := testKey(1, "jit")
 	if _, ok := m.Lookup(key); ok {
@@ -339,10 +340,10 @@ func TestMetrics(t *testing.T) {
 	}
 	lim := sharerLimit(t, root, "proc:a")
 	who := new(int)
-	if err := m.Attach(a, who, lim); err != nil {
+	if err := m.book.Attach(&a.Entry, who, lim); err != nil {
 		t.Fatal(err)
 	}
-	m.Detach(a, who)
+	m.book.Detach(&a.Entry, who)
 	m.EvictOrphans()
 
 	for name, want := range map[string]uint64{
@@ -360,4 +361,39 @@ func TestMetrics(t *testing.T) {
 		t.Errorf("resident gauge %d after eviction, want 0", got)
 	}
 	lim.Release()
+}
+
+// Sharer reads take the ledger lock: this fails under -race if they read
+// the sharer map while a kill detaches on another goroutine.
+func TestSharerReadsRaceAttachDetach(t *testing.T) {
+	m, root := testManager(t)
+	a, err := m.Insert(testKey(1, "jit"), "mod", interp.SyntheticProgram(2, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := sharerLimit(t, root, "proc:a")
+	who := new(int)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := m.book.Attach(&a.Entry, who, lim); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 0 {
+				m.book.Detach(&a.Entry, who)
+			} else {
+				m.book.DetachAll(who)
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		_ = a.Sharers()
+		_ = a.SharedBy(who)
+	}
+	<-done
+	if n := a.Sharers(); n != 0 || lim.Use() != 0 {
+		t.Fatalf("after churn: %d sharer(s), %d bytes charged", n, lim.Use())
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/interp"
 	"repro/internal/memlimit"
+	"repro/internal/shared"
 )
 
 // FuzzCodeCacheKey attacks the cache key's canonicalization: two
@@ -58,7 +59,7 @@ func FuzzCodeCacheKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr := NewManager(base)
+		mgr := NewManager(new(shared.Ledger), base)
 		lim, err := root.NewChild("proc:f", memlimit.Unlimited, false)
 		if err != nil {
 			t.Fatal(err)
@@ -78,14 +79,14 @@ func FuzzCodeCacheKey(f *testing.F) {
 				seen[a] = true
 				want += a.Size
 			}
-			if err := mgr.Attach(a, who, lim); err != nil {
+			if err := mgr.book.Attach(&a.Entry, who, lim); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := lim.Use(); got != want {
 			t.Fatalf("sharer charged %d, artifacts total %d", got, want)
 		}
-		mgr.DetachAll(who)
+		mgr.book.DetachAll(who)
 		if got := lim.Use(); got != 0 {
 			t.Fatalf("churn leaked %d bytes", got)
 		}

@@ -2,59 +2,42 @@ package core
 
 import (
 	"repro/internal/audit"
-	"repro/internal/codecache"
 	"repro/internal/shared"
 )
 
 // Audit captures a globally consistent snapshot of every accounting
 // structure in the VM — heaps, entry/exit items, the memlimit tree, the
-// page table, shared-heap charges, code-cache charges, and the process
-// table — and re-derives the books from first principles (see package
-// audit). graph additionally walks every object's reference fields,
-// checking the legality matrix and exit-item backing; it is only
+// page table, the sharing ledger (shared heaps and code artifacts), and
+// the process table — and re-derives the books from first principles
+// (see package audit). graph additionally walks every object's reference
+// fields, checking the legality matrix and exit-item backing; it is only
 // meaningful while no mutator runs (scheduler idle), whereas the numeric
 // checks hold on any consistent cut.
 //
-// The capture order follows the kernel lock order: the code-cache
-// manager's lock wraps the shared manager's, which is taken around the
-// heap snapshot (manager locks precede the heap locks, as in orphan
-// reclamation), and the memlimit tree, page table, and process table are
-// copied inside the heap snapshot's critical section.
+// The capture follows the kernel lock order: one critical section of the
+// ledger lock wraps the heap snapshot (the ledger precedes the heap
+// locks, as in orphan reclamation), and the memlimit tree, page table,
+// and process table are copied inside the heap snapshot's critical
+// section.
 func (vm *VM) Audit(graph bool) *audit.Report {
 	var w audit.World
-	capture := func() {
-		vm.SharedMgr.Snapshot(func(charges []shared.ChargeInfo) {
-			w.Shared = charges
-			w.Heaps = vm.Reg.SnapshotAll(func() {
-				w.Limits = vm.RootLimit.Snapshot()
-				w.Pages = vm.Space.Dump()
-				w.LivePids = make(map[int32]bool)
-				w.TemplatePids = make(map[int32]bool)
-				vm.mu.Lock()
-				for pid := range vm.procs {
-					w.LivePids[int32(pid)] = true
-				}
-				for pid := range vm.templates {
-					w.TemplatePids[int32(pid)] = true
-				}
-				vm.mu.Unlock()
-			})
-		})
-	}
-	if vm.CodeMgr != nil {
-		w.CodeLimit = vm.CodeMgr.Base()
-		vm.CodeMgr.Snapshot(func(charges []codecache.ChargeInfo) {
-			w.Code = make([]audit.CodeCharge, len(charges))
-			for i, ci := range charges {
-				w.Code[i] = audit.CodeCharge{
-					Name: ci.Name, Variant: ci.Variant, Size: ci.Size, Sharers: ci.Sharers,
-				}
+	vm.SharedMgr.Snapshot(func(entries []shared.ChargeInfo) {
+		w.Ledger = entries
+		w.Heaps = vm.Reg.SnapshotAll(func() {
+			w.Limits = vm.RootLimit.Snapshot()
+			w.Pages = vm.Space.Dump()
+			w.LivePids = make(map[int32]bool)
+			w.TemplatePids = make(map[int32]bool)
+			vm.mu.Lock()
+			for pid := range vm.procs {
+				w.LivePids[int32(pid)] = true
 			}
-			capture()
+			for pid := range vm.templates {
+				w.TemplatePids[int32(pid)] = true
+			}
+			vm.mu.Unlock()
 		})
-	} else {
-		capture()
-	}
+	})
 	w.KernelID = vm.KernelHeap.ID
 	return audit.Check(w, audit.Options{Graph: graph})
 }

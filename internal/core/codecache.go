@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bytecode"
 	"repro/internal/codecache"
+	"repro/internal/memlimit"
 	"repro/internal/object"
 )
 
@@ -12,20 +13,6 @@ import (
 // compiles it once and every later namespace installs the same
 // immutable artifact — paying an attach (a full-size memlimit debit,
 // the paper's full-charging rule) instead of a compile.
-
-// moduleClasses resolves the module's class definitions in p's
-// namespace, in definition order.
-func (p *Process) moduleClasses(m *bytecode.Module) ([]*object.Class, error) {
-	classes := make([]*object.Class, 0, len(m.Classes))
-	for _, def := range m.Classes {
-		c, err := p.Loader.Class(def.Name)
-		if err != nil {
-			return nil, err
-		}
-		classes = append(classes, c)
-	}
-	return classes, nil
-}
 
 // moduleLabel names an artifact for ps/metrics: the module's first
 // class (modules are anonymous linkable units).
@@ -52,75 +39,52 @@ func (vm *VM) defineModule(p *Process, m *bytecode.Module) error {
 	return p.Loader.DefineModule(m)
 }
 
-// attachCachedCode fetches (or compiles and inserts) the module's
-// artifact for the VM's engine configuration, charges p the full
-// artifact size, and seeds p's namespace with the compiled bodies. A
-// no-op when the cache is off or the engine does not compile. On any
-// failure — memlimit too small for the artifact, codecache.attach
-// fault — nothing stays charged and no sharer is recorded; the caller
-// decides whether the load survives without cached code.
-func (vm *VM) attachCachedCode(p *Process, m *bytecode.Module) error {
+// attachCachedCode charges who (through lim) the full size of the
+// module's artifact for the VM's engine configuration. For a process, a
+// miss compiles and inserts the artifact and the compiled bodies seed its
+// namespace. A template only pins a resident artifact (a miss after an
+// eviction race is skipped; its forks then compile), so the zygote's code
+// stays resident for as long as the template lives. A no-op when the
+// cache is off. On any failure — memlimit too small for the artifact,
+// codecache.attach fault — nothing stays charged and no sharer is
+// recorded; the caller decides whether the load survives without cached
+// code.
+func (vm *VM) attachCachedCode(who any, lim *memlimit.Limit, m *bytecode.Module) error {
 	if vm.CodeMgr == nil {
 		return nil
 	}
 	key := codecache.Key{ModuleHash: m.Hash(), Variant: vm.engineJIT.Variant()}
-	classes, err := p.moduleClasses(m)
-	if err != nil {
-		return err
+	// A process resolves the module's classes in its namespace, in
+	// definition order, for the compile and the install.
+	p, _ := who.(*Process)
+	var classes []*object.Class
+	if p != nil {
+		for _, def := range m.Classes {
+			c, err := p.Loader.Class(def.Name)
+			if err != nil {
+				return err
+			}
+			classes = append(classes, c)
+		}
 	}
 	a, ok := vm.CodeMgr.Lookup(key)
+	if !ok && p == nil {
+		return nil
+	}
 	if !ok {
-		prog, cerr := vm.engineJIT.CompileProgram(classes)
-		if cerr != nil {
-			return cerr
-		}
-		a, err = vm.CodeMgr.Insert(key, moduleLabel(m), prog)
+		prog, err := vm.engineJIT.CompileProgram(classes)
 		if err != nil {
 			return err
 		}
-	}
-	if err := vm.CodeMgr.Attach(a, p, p.Limit); err != nil {
-		return err
-	}
-	vm.engineJIT.InstallProgram(a.Program, classes)
-	return nil
-}
-
-// detachCachedCode credits back every artifact charge who (a process or
-// template) holds — termination, creation failure, fork unwind.
-func (vm *VM) detachCachedCode(who any) {
-	if vm.CodeMgr != nil {
-		vm.CodeMgr.DetachAll(who)
-	}
-}
-
-// attachTemplateCode gives the template its own handle on each of its
-// modules' artifacts, charged to the template's limit: the zygote's
-// compiled code stays resident — structurally unevictable — for as long
-// as the template lives, so forks share it even after the origin dies.
-// Modules with no resident artifact (cache miss after an eviction race)
-// are skipped; forks fall back to compiling.
-func (vm *VM) attachTemplateCode(t *Template) error {
-	if vm.CodeMgr == nil {
-		return nil
-	}
-	for _, m := range t.modules {
-		key := codecache.Key{ModuleHash: m.Hash(), Variant: vm.engineJIT.Variant()}
-		a, ok := vm.CodeMgr.Lookup(key)
-		if !ok {
-			continue
-		}
-		if err := vm.CodeMgr.Attach(a, t, t.Limit); err != nil {
+		if a, err = vm.CodeMgr.Insert(key, moduleLabel(m), prog); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// codeBytesFor reports p's code-cache residency (ps/top CODE column).
-func (vm *VM) codeBytesFor(who any) uint64 {
-	if vm.CodeMgr == nil {
-		return 0
+	if err := vm.SharedMgr.Ledger.Attach(&a.Entry, who, lim); err != nil {
+		return err
 	}
-	return vm.CodeMgr.BytesFor(who)
+	if p != nil {
+		vm.engineJIT.InstallProgram(a.Program, classes)
+	}
+	return nil
 }

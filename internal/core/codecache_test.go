@@ -8,10 +8,10 @@ import (
 	"testing"
 	"weak"
 
-	"repro/internal/codecache"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/object"
+	"repro/internal/shared"
 	"repro/internal/telemetry"
 )
 
@@ -50,7 +50,7 @@ func TestCodeCacheSharing(t *testing.T) {
 	}
 
 	// Full charging: each sharer owes the whole artifact size.
-	c1, c2 := vm.CodeMgr.BytesFor(p1), vm.CodeMgr.BytesFor(p2)
+	c1, c2 := vm.SharedMgr.BytesFor(p1, shared.KindCode), vm.SharedMgr.BytesFor(p2, shared.KindCode)
 	if c1 == 0 || c1 != c2 {
 		t.Fatalf("code charges %d/%d, want equal and nonzero", c1, c2)
 	}
@@ -68,10 +68,10 @@ func TestCodeCacheSharing(t *testing.T) {
 
 	// Both processes exited and reclaimed: every sharer charge is
 	// credited back; the artifacts stay resident on the base limit.
-	if got := vm.CodeMgr.BytesFor(p1); got != 0 {
+	if got := vm.SharedMgr.BytesFor(p1, shared.KindCode); got != 0 {
 		t.Fatalf("reclaimed process still charged %d", got)
 	}
-	if vm.CodeMgr.Len() == 0 {
+	if len(vm.CodeMgr.Artifacts()) == 0 {
 		t.Fatal("artifacts vanished with their sharers (eviction is membal's job)")
 	}
 	auditClean(t, vm, "after reclamation")
@@ -98,8 +98,8 @@ func TestCodeCacheSnapshotColumn(t *testing.T) {
 	if row == nil {
 		t.Fatal("process missing from snapshot")
 	}
-	if row.CodeBytes != vm.CodeMgr.BytesFor(p) || row.CodeBytes == 0 {
-		t.Fatalf("CODE column %d, manager says %d", row.CodeBytes, vm.CodeMgr.BytesFor(p))
+	if row.CodeBytes != vm.SharedMgr.BytesFor(p, shared.KindCode) || row.CodeBytes == 0 {
+		t.Fatalf("CODE column %d, manager says %d", row.CodeBytes, vm.SharedMgr.BytesFor(p, shared.KindCode))
 	}
 	var buf bytes.Buffer
 	telemetry.RenderTable(&buf, vm.Snapshot())
@@ -118,7 +118,7 @@ func TestCodeCacheForkShares(t *testing.T) {
 
 	origin := warmProc(t, vm, "zygote")
 	tpl := mustCheckpoint(t, vm, origin, "warm")
-	if got := vm.CodeMgr.BytesFor(tpl); got == 0 {
+	if got := vm.SharedMgr.BytesFor(tpl, shared.KindCode); got == 0 {
 		t.Fatal("template holds no code handles")
 	}
 	origin.Kill(errors.New("origin retired"))
@@ -134,7 +134,7 @@ func TestCodeCacheForkShares(t *testing.T) {
 	if got := kernel.Counter(telemetry.MCodeMisses).Value(); got != missesBefore {
 		t.Fatalf("fork recompiled: misses %d -> %d", missesBefore, got)
 	}
-	if got := vm.CodeMgr.BytesFor(clone); got == 0 {
+	if got := vm.SharedMgr.BytesFor(clone, shared.KindCode); got == 0 {
 		t.Fatal("fork attached no code")
 	}
 	auditClean(t, vm, "after fork")
@@ -171,7 +171,7 @@ func TestCodeCacheAttachFault(t *testing.T) {
 
 	if _, err := vm.NewProcess("doomed", ProcessOptions{}); err == nil {
 		t.Fatal("NewProcess survived an injected attach fault")
-	} else if !errors.Is(err, codecache.ErrAttachFault) {
+	} else if !errors.Is(err, shared.ErrAttachFault) {
 		t.Fatalf("err = %v, want ErrAttachFault", err)
 	}
 	for _, a := range vm.CodeMgr.Artifacts() {
@@ -182,7 +182,7 @@ func TestCodeCacheAttachFault(t *testing.T) {
 	auditClean(t, vm, "after aborted attach")
 
 	p := mustProc(t, vm, "ok", ProcessOptions{})
-	if got := vm.CodeMgr.BytesFor(p); got == 0 {
+	if got := vm.SharedMgr.BytesFor(p, shared.KindCode); got == 0 {
 		t.Fatal("post-fault creation attached no code")
 	}
 	auditClean(t, vm, "after recovery")
@@ -197,12 +197,12 @@ func TestCodeCacheLoadFault(t *testing.T) {
 	}
 	vm := newCacheVM(t, Config{Faults: faults.NewPlane(plan)})
 	p := mustProc(t, vm, "a", ProcessOptions{}) // attach #1: reloaded library
-	charged := vm.CodeMgr.BytesFor(p)
+	charged := vm.SharedMgr.BytesFor(p, shared.KindCode)
 
-	if err := p.Load(mustModule(t, helloSrc)); !errors.Is(err, codecache.ErrAttachFault) {
+	if err := p.Load(mustModule(t, helloSrc)); !errors.Is(err, shared.ErrAttachFault) {
 		t.Fatalf("Load err = %v, want ErrAttachFault", err)
 	}
-	if got := vm.CodeMgr.BytesFor(p); got != charged {
+	if got := vm.SharedMgr.BytesFor(p, shared.KindCode); got != charged {
 		t.Fatalf("aborted load changed code charge %d -> %d", charged, got)
 	}
 	auditClean(t, vm, "after aborted load")
@@ -224,21 +224,21 @@ func TestCodeCacheEvictionUnderPressure(t *testing.T) {
 	p2 := mustProc(t, vm, "b", ProcessOptions{})
 	load(t, p2, helloSrc)
 
-	before := vm.CodeMgr.Len()
+	before := len(vm.CodeMgr.Artifacts())
 	vm.Rebalance() // budget 1 byte: maximum pressure, but everything has sharers
-	if got := vm.CodeMgr.Len(); got != before {
+	if got := len(vm.CodeMgr.Artifacts()); got != before {
 		t.Fatalf("pressure evicted artifacts with live sharers: %d -> %d", before, got)
 	}
 
 	p1.Kill(errors.New("bye"))
 	vm.Rebalance() // p2 still shares everything it loaded
-	if got := vm.CodeMgr.Len(); got != before {
+	if got := len(vm.CodeMgr.Artifacts()); got != before {
 		t.Fatalf("eviction dropped artifacts shared by a live process: %d -> %d", before, got)
 	}
 
 	p2.Kill(errors.New("bye"))
 	vm.Rebalance() // now orphaned: pressure clears the cache
-	if got := vm.CodeMgr.Len(); got != 0 {
+	if got := len(vm.CodeMgr.Artifacts()); got != 0 {
 		t.Fatalf("%d orphaned artifacts survived pressure", got)
 	}
 	auditClean(t, vm, "after pressure eviction")
@@ -293,7 +293,7 @@ func TestCodeCacheArtifactHoldsNoProcessState(t *testing.T) {
 	vm := newCacheVM(t, Config{})
 	p2 := mustProc(t, vm, "p2", ProcessOptions{})
 	wp, wc := runAndReclaim(t, vm, p2)
-	if vm.CodeMgr.Len() == 0 || vm.CodeMgr.BytesFor(p2) == 0 {
+	if len(vm.CodeMgr.Artifacts()) == 0 || vm.SharedMgr.BytesFor(p2, shared.KindCode) == 0 {
 		t.Fatal("the surviving sharer lost its artifact")
 	}
 	runtime.GC()

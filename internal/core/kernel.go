@@ -7,6 +7,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/object"
 	"repro/internal/sched"
+	"repro/internal/shared"
 	"repro/internal/telemetry"
 )
 
@@ -231,13 +232,12 @@ func (vm *VM) kernelNatives() (map[string]any, map[string]bool) {
 			return interp.Slot{}, t.Env.Throw(t, "java/lang/IllegalStateException",
 				"root must be allocated on the shared heap being populated")
 		}
-		for _, sh := range vm.SharedMgr.Heaps() {
-			if sh.H == t.AllocOverride {
-				sh.Root = o
-				return interp.Slot{}, nil
-			}
+		sh, ok := t.AllocOverride.Owner.(*shared.Heap)
+		if !ok {
+			return interp.Slot{}, t.Env.Throw(t, "java/lang/IllegalStateException", "no shared heap under population")
 		}
-		return interp.Slot{}, t.Env.Throw(t, "java/lang/IllegalStateException", "no shared heap under population")
+		sh.Root = o
+		return interp.Slot{}, nil
 	})
 
 	add("kaffeos/Shared.freeze(Ljava/lang/String;)V", func(t *interp.Thread, args []interp.Slot) (interp.Slot, error) {
@@ -310,10 +310,7 @@ func (vm *VM) kernelNatives() (map[string]any, map[string]bool) {
 // last exit item to a shared heap, that shared heap's memory is credited
 // to the sharer's budget" (§2). Called after each process-heap collection.
 func (vm *VM) reconcileShared(p *Process) {
-	for _, sh := range vm.SharedMgr.Heaps() {
-		if !sh.Frozen() || !sh.SharedBy(p) {
-			continue
-		}
+	for _, sh := range vm.SharedMgr.HeldBy(p) {
 		if p.Heap.HasExitsTo(sh.H.ID) {
 			continue
 		}

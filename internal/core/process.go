@@ -205,7 +205,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 		return nil, fmt.Errorf("core: library clinit for %q: %w", name, err)
 	}
 	p.modules = append(p.modules, vm.Lib.ReloadedModule)
-	if err := vm.attachCachedCode(p, vm.Lib.ReloadedModule); err != nil {
+	if err := vm.attachCachedCode(p, p.Limit, vm.Lib.ReloadedModule); err != nil {
 		p.releaseEarly()
 		return nil, fmt.Errorf("core: code cache for %q: %w", name, err)
 	}
@@ -222,7 +222,7 @@ func (p *Process) releaseEarly() {
 	if !p.reclaiming.CompareAndSwap(false, true) {
 		return
 	}
-	p.VM.detachCachedCode(p)
+	p.VM.SharedMgr.DetachAll(p)
 	_ = p.Heap.MergeInto(p.VM.KernelHeap)
 	p.Limit.Release()
 	p.state.Store(uint32(ProcReclaimed))
@@ -329,7 +329,7 @@ func (p *Process) Load(m *bytecode.Module) error {
 	// the codecache.attach fault site — leaves a consistent namespace
 	// with no cached code and no residual charge; the error tells the
 	// caller the load did not complete as configured.
-	if err := p.VM.attachCachedCode(p, m); err != nil {
+	if err := p.VM.attachCachedCode(p, p.Limit, m); err != nil {
 		return err
 	}
 	return nil
@@ -573,7 +573,6 @@ func (p *Process) reclaim() {
 	vm := p.VM
 	vm.SharedMgr.DetachAll(p)
 	vm.SharedMgr.UnfrozenOwnedBy(p.Limit, vm.KernelHeap)
-	vm.detachCachedCode(p)
 	p.intern = make(map[string]*object.Object)
 	p.Loader.Unload()
 	merged := p.Heap.Bytes()

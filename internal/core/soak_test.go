@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bytecode"
+	"repro/internal/shared"
 	"repro/internal/telemetry"
 )
 
@@ -252,9 +253,13 @@ L0:	goto L0
 	if rootUse != vm.Cfg.KernelMemory {
 		t.Errorf("root use = %d, want only the kernel reservation %d", rootUse, vm.Cfg.KernelMemory)
 	}
-	if got := len(vm.SharedMgr.Heaps()); got != 0 {
-		t.Errorf("%d shared heaps leaked", got)
-	}
+	vm.SharedMgr.Snapshot(func(entries []shared.ChargeInfo) {
+		for _, e := range entries {
+			if e.Kind == shared.KindHeap {
+				t.Errorf("shared heap %q leaked", e.Name)
+			}
+		}
+	})
 	// Address-space accounting: with every process heap merged away, every
 	// mapped page must belong to the kernel heap, and the page table must be
 	// bounded — before chunk release, 200 rounds of process churn leaked a

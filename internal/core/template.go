@@ -125,7 +125,7 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 	p.mu.Unlock()
 
 	unwind := func(err error) (*Template, error) {
-		vm.detachCachedCode(t)
+		vm.SharedMgr.DetachAll(t)
 		_ = t.Heap.Destroy()
 		lim.Release()
 		if vm.Tel != nil {
@@ -164,8 +164,10 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 	// Pin the origin's compiled code before the residency cap is fixed:
 	// the template's limit is charged the full size of each artifact, so
 	// SetMax below covers heap bytes + code charges together.
-	if err := vm.attachTemplateCode(t); err != nil {
-		return unwind(fmt.Errorf("core: checkpoint of process %d: %w", p.ID, err))
+	for _, m := range t.modules {
+		if err := vm.attachCachedCode(t, lim, m); err != nil {
+			return unwind(fmt.Errorf("core: checkpoint of process %d: %w", p.ID, err))
+		}
 	}
 
 	t.Heap.Freeze()
@@ -251,7 +253,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	p.Loader.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
 
 	unwind := func(err error) (*Process, error) {
-		vm.detachCachedCode(p)
+		vm.SharedMgr.DetachAll(p)
 		_ = p.Heap.Destroy()
 		lim.Release()
 		p.reclaiming.Store(true)
@@ -317,7 +319,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	// installs instead of compiling — the clone pays a memlimit debit,
 	// not a JIT pass.
 	for _, m := range t.modules {
-		if err := vm.attachCachedCode(p, m); err != nil {
+		if err := vm.attachCachedCode(p, lim, m); err != nil {
 			return unwind(fmt.Errorf("core: fork from template %q: %w", t.Name, err))
 		}
 	}
@@ -352,7 +354,7 @@ func (t *Template) Release() error {
 	if err := t.Heap.Destroy(); err != nil {
 		return fmt.Errorf("core: release of template %q: %w", t.Name, err)
 	}
-	t.VM.detachCachedCode(t)
+	t.VM.SharedMgr.DetachAll(t)
 	t.Limit.Release()
 	t.released = true
 	vm := t.VM

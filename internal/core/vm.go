@@ -260,9 +260,9 @@ func NewVM(cfg Config) (*VM, error) {
 		if err != nil {
 			return nil, err
 		}
-		vm.CodeMgr = codecache.NewManager(codeBase)
-		vm.CodeMgr.Metrics = vm.Tel.Reg.Kernel()
-		vm.CodeMgr.Faults = cfg.Faults
+		vm.SharedMgr.Metrics = vm.Tel.Reg.Kernel()
+		vm.SharedMgr.Faults = cfg.Faults
+		vm.CodeMgr = codecache.NewManager(&vm.SharedMgr.Ledger, codeBase)
 	}
 
 	vm.Lib = classlib.New()
@@ -683,11 +683,11 @@ func (vm *VM) Snapshot() telemetry.Snapshot {
 		p, ok := vm.Process(Pid(pid))
 		if !ok {
 			if t, tok := vm.Template(Pid(pid)); tok {
-				return "template", 0, t.Heap.Bytes(), t.Limit.Use(), vm.codeBytesFor(t), true
+				return "template", 0, t.Heap.Bytes(), t.Limit.Use(), vm.SharedMgr.BytesFor(t, shared.KindCode), true
 			}
 			return "", 0, 0, 0, 0, false
 		}
-		return p.State().String(), p.Threads(), p.HeapBytes(), p.MemUse(), vm.codeBytesFor(p), true
+		return p.State().String(), p.Threads(), p.HeapBytes(), p.MemUse(), vm.SharedMgr.BytesFor(p, shared.KindCode), true
 	})
 	return telemetry.Snapshot{
 		NowCycles:    vm.Sched.Now(),

@@ -320,8 +320,8 @@ type Heap struct {
 	fastFlushedHits   uint64
 	fastFlushedMisses uint64
 
-	// Owner is an opaque back-pointer to the owning process (or nil for
-	// the kernel heap); the VM layer uses it for accounting.
+	// Owner is an opaque back-pointer to the heap's owner — a process, a
+	// template, a shared heap's ledger entry — or nil for the kernel heap.
 	Owner any
 
 	// Pid tags GC telemetry with the owning process (0 = kernel/shared).

@@ -376,17 +376,15 @@ func TestOrphanedSharedHeap(t *testing.T) {
 	if err := user.RecordCrossRef(so); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Orphaned() {
-		t.Fatal("referenced shared heap reported orphaned")
+	if !user.HasExitsTo(sh.ID) || sh.EntryCount() != 1 {
+		t.Fatal("reference into the shared heap left no exit/entry item pair")
 	}
-	// User drops the reference and collects: exit item dies.
+	// User drops the reference and collects: the item pair dies, which is
+	// what lets the sharing ledger credit the user's charge.
 	uo.SetRef(0, nil)
 	user.Collect(rootsOf(uo))
-	if !sh.Orphaned() {
-		t.Fatal("unreferenced shared heap not orphaned")
-	}
-	if w.kernel.Orphaned() {
-		t.Error("kernel heap can never be orphaned")
+	if user.HasExitsTo(sh.ID) || sh.EntryCount() != 0 {
+		t.Fatal("unreferenced shared heap still has an exit/entry item pair")
 	}
 }
 

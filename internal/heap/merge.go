@@ -145,21 +145,3 @@ func (h *Heap) MergeInto(dst *Heap) error {
 	h.reg.mu.Unlock()
 	return nil
 }
-
-// Orphaned reports whether a shared heap has no remaining sharers: no entry
-// items with positive counts reference any of its objects. The kernel
-// collector checks for orphaned shared heaps at the beginning of each GC
-// cycle and merges them into the kernel heap.
-func (h *Heap) Orphaned() bool {
-	if h.Kind != KindShared {
-		return false
-	}
-	h.reg.crossMu.Lock()
-	defer h.reg.crossMu.Unlock()
-	for _, e := range h.entries {
-		if e.RefCount > 0 {
-			return false
-		}
-	}
-	return true
-}

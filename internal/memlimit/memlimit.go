@@ -285,6 +285,10 @@ func (l *Limit) propagationParent() *Limit {
 // respect to the tree. Both limits must belong to the same tree. It is used
 // when a terminated process' heap is merged into the kernel heap: the bytes
 // stop being the process' and become the kernel's until collected.
+//
+// The source is credited before dst is debited, so an ancestor the two
+// propagation paths share never has to hold the n bytes twice (two soft
+// siblings under a nearly full parent).
 func (l *Limit) Transfer(n uint64, dst *Limit) error {
 	if n == 0 {
 		return nil
@@ -297,10 +301,11 @@ func (l *Limit) Transfer(n uint64, dst *Limit) error {
 	if l.released || dst.released {
 		return errReleased
 	}
+	l.creditLocked(n)
 	if err := dst.debitLocked(n); err != nil {
+		_ = l.debitLocked(n) // restores the uses just left, which fitted
 		return err
 	}
-	l.creditLocked(n)
 	return nil
 }
 

@@ -186,6 +186,30 @@ func TestTransferFailsAndRollsBack(t *testing.T) {
 	}
 }
 
+// Two soft siblings share their parent's use: moving bytes between them
+// must not need the parent to hold the bytes twice, however full it is.
+func TestTransferBetweenSoftSiblingsUnderFullParent(t *testing.T) {
+	root := NewRoot("root", 1000)
+	a := root.MustChild("a", 1000, false)
+	b := root.MustChild("b", 1000, false)
+	if err := a.Debit(900); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Transfer(800, b); err != nil {
+		t.Fatalf("transfer between siblings under a 90%% full parent: %v", err)
+	}
+	if a.Use() != 100 || b.Use() != 800 || root.Use() != 900 {
+		t.Fatalf("after transfer: a=%d b=%d root=%d, want 100/800/900", a.Use(), b.Use(), root.Use())
+	}
+	// Up to a soft ancestor: the ancestor's use does not move either.
+	if err := b.Transfer(800, root); err != nil {
+		t.Fatal(err)
+	}
+	if b.Use() != 0 || root.Use() != 900 {
+		t.Fatalf("after transfer to the parent: b=%d root=%d, want 0/900", b.Use(), root.Use())
+	}
+}
+
 func TestSetMaxHardAdjustsParent(t *testing.T) {
 	root := NewRoot("root", 1000)
 	c := root.MustChild("c", 400, true)

@@ -1,5 +1,6 @@
-// Package shared implements KaffeOS shared heaps — the direct-sharing
-// mechanism of the paper (§2, "Direct sharing between processes").
+// Package shared implements the VM's sharing ledger (ledger.go) and, over
+// it, KaffeOS shared heaps — the direct-sharing mechanism of the paper
+// (§2, "Direct sharing between processes").
 //
 // A shared heap has a strict lifecycle: a creator process creates it (the
 // heap's memlimit is a soft child of the creator's, so it cannot grow past
@@ -8,19 +9,17 @@
 // its objects are immutable (enforced by the write barrier), so one process
 // can never use a shared object to keep another process' objects alive.
 //
-// Every sharer is charged the *full* size of the heap while holding it
-// (not 1/n), so no process is ever charged asynchronously when another
-// sharer exits. When a sharer's collector finds no remaining references
-// into the heap, the size is credited back; when the last sharer drops it,
-// the heap is orphaned and the kernel collector merges it into the kernel
-// heap at the start of its next cycle.
+// A frozen heap is a ledger entry: every sharer is charged its full size
+// while holding it. When a sharer's collector finds no remaining
+// references into the heap, the size is credited back; when the last
+// sharer drops it, the heap is orphaned and the kernel collector merges it
+// into the kernel heap at the start of its next cycle.
 package shared
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/memlimit"
@@ -37,53 +36,26 @@ var (
 	ErrNoRoot    = errors.New("shared: heap has no root object")
 )
 
-// Heap is one shared heap plus its sharing bookkeeping.
+// Heap is one shared heap: a KindHeap ledger entry, whose H is its
+// storage (and H.Owner the Heap). Until the freeze its Size is the
+// population cap.
 type Heap struct {
-	Name string
-	H    *heap.Heap
+	Entry
 	// Root is the object sharers obtain from Lookup; it must live on H.
 	Root *object.Object
-	// Size is the frozen size in bytes; every sharer is charged this much.
-	Size uint64
-
-	frozen      bool
-	createLimit *memlimit.Limit // soft child of the creator during population
-	sharers     map[any]*memlimit.Limit
 }
 
-// Frozen reports whether the heap has been frozen.
-func (s *Heap) Frozen() bool { return s.frozen }
-
-// Sharers reports the number of processes currently charged for the heap.
-func (s *Heap) Sharers() int { return len(s.sharers) }
-
-// SharedBy reports whether who is currently attached.
-func (s *Heap) SharedBy(who any) bool {
-	_, ok := s.sharers[who]
-	return ok
-}
-
-// Manager tracks every shared heap of one VM. The shared namespace is a
-// global resource (the paper notes this makes it harder to account for
-// precisely); names are charged nothing, contents are charged fully.
+// Manager tracks every shared heap of one VM and owns the VM's ledger,
+// which the code cache shares. The shared namespace is a global resource
+// (the paper notes this makes it harder to account for precisely); names
+// are charged nothing, contents are charged fully. The ledger's lock also
+// guards the name table.
 type Manager struct {
-	// Telemetry, when set, receives shared-heap lifecycle events
-	// (create/freeze/attach/detach). Set once at VM construction, before
-	// any process runs.
-	Telemetry telemetry.Sink
+	Ledger
 
-	mu    sync.Mutex
 	reg   *heap.Registry
-	base  *memlimit.Limit // accounting home for frozen shared heaps
+	base  *memlimit.Limit // home of frozen shared heaps
 	heaps map[string]*Heap
-}
-
-// emit forwards a shared-heap lifecycle event; who (a sharer handle) is
-// mapped to a pid when it implements telemetry.Pidded.
-func (m *Manager) emit(k telemetry.Kind, who any, a uint64, name string) {
-	if m.Telemetry != nil {
-		m.Telemetry.Emit(telemetry.Event{Kind: k, Pid: telemetry.PidOf(who), A: a, Detail: name})
-	}
 }
 
 // NewManager creates a manager; base is the memlimit that owns frozen
@@ -108,14 +80,11 @@ func (m *Manager) Create(name string, creatorLimit *memlimit.Limit, max uint64) 
 	if err != nil {
 		return nil, err
 	}
-	sh := &Heap{
-		Name:        name,
-		H:           m.reg.NewHeap(heap.KindShared, "shared:"+name, lim),
-		createLimit: lim,
-		sharers:     make(map[any]*memlimit.Limit),
-	}
+	sh := &Heap{Entry: Entry{Name: name, Size: max}}
+	sh.H = m.reg.NewOwnedHeap(heap.KindShared, "shared:"+name, lim, sh, 0)
+	m.enterLocked(&sh.Entry, KindHeap, lim)
 	m.heaps[name] = sh
-	m.emit(telemetry.EvSharedCreate, nil, max, name)
+	m.emit(&sh.Entry, telemetry.EvSharedCreate, "", nil)
 	return sh, nil
 }
 
@@ -132,19 +101,21 @@ func (m *Manager) Freeze(sh *Heap) error {
 	if sh.Root == nil {
 		return ErrNoRoot
 	}
-	sh.H.Freeze()
-	sh.Size = sh.H.Bytes()
+	// Move the storage first: a refused transfer leaves the heap open and
+	// both books as they were.
 	if err := sh.H.RetargetLimit(m.base); err != nil {
 		return err
 	}
-	sh.createLimit.Release()
-	sh.createLimit = nil
+	sh.H.Freeze()
+	sh.Size = sh.H.Bytes()
+	sh.home.Release()
+	sh.home = m.base
 	sh.frozen = true
-	m.emit(telemetry.EvSharedFreeze, nil, sh.Size, sh.Name)
+	m.emit(&sh.Entry, telemetry.EvSharedFreeze, "", nil)
 	return nil
 }
 
-// Lookup finds a frozen shared heap by name.
+// Lookup finds a shared heap by name.
 func (m *Manager) Lookup(name string) (*Heap, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -158,94 +129,23 @@ func (m *Manager) Lookup(name string) (*Heap, error) {
 // Attach charges who (through limit) the full size of the heap. Attaching
 // twice is idempotent. The heap must be frozen.
 func (m *Manager) Attach(sh *Heap, who any, limit *memlimit.Limit) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !sh.frozen {
-		return ErrNotFrozen
-	}
-	if _, dup := sh.sharers[who]; dup {
-		return nil
-	}
-	if err := limit.Debit(sh.Size); err != nil {
-		return err
-	}
-	sh.sharers[who] = limit
-	m.emit(telemetry.EvSharedAttach, who, sh.Size, sh.Name)
-	return nil
+	return m.Ledger.Attach(&sh.Entry, who, limit)
 }
 
 // Detach credits who's charge back. Detaching a non-sharer is a no-op.
-func (m *Manager) Detach(sh *Heap, who any) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if lim, ok := sh.sharers[who]; ok {
-		lim.Credit(sh.Size)
-		delete(sh.sharers, who)
-		m.emit(telemetry.EvSharedDetach, who, sh.Size, sh.Name)
-	}
-}
+func (m *Manager) Detach(sh *Heap, who any) { m.Ledger.Detach(&sh.Entry, who) }
 
-// DetachAll removes who from every shared heap (process termination).
-func (m *Manager) DetachAll(who any) {
+// HeldBy lists the shared heaps who is currently charged for.
+func (m *Manager) HeldBy(who any) []*Heap {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, sh := range m.heaps {
-		if lim, ok := sh.sharers[who]; ok {
-			lim.Credit(sh.Size)
-			delete(sh.sharers, who)
-			m.emit(telemetry.EvSharedDetach, who, sh.Size, sh.Name)
+	var out []*Heap
+	for _, e := range m.bySharer[who] {
+		if e.Kind == KindHeap {
+			out = append(out, m.heaps[e.Name])
 		}
 	}
-}
-
-// Heaps lists all shared heaps, sorted by name.
-func (m *Manager) Heaps() []*Heap {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Heap, 0, len(m.heaps))
-	for _, sh := range m.heaps {
-		out = append(out, sh)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// ChargeInfo is a point-in-time copy of one shared heap's charge state,
-// captured by Snapshot for the invariant auditor.
-type ChargeInfo struct {
-	Name   string
-	Size   uint64
-	Frozen bool
-	Heap   *heap.Heap
-	// Sharers are the memlimits currently charged Size each.
-	Sharers []*memlimit.Limit
-	// CreateLimit is the population-phase soft limit (nil once frozen).
-	CreateLimit *memlimit.Limit
-}
-
-// Snapshot invokes fn with the charge table while holding the manager lock,
-// so no attach, detach, create, or freeze can run while fn captures the rest
-// of the world. The established lock order is Manager.mu → heap locks →
-// memlimit tree, so fn may snapshot heaps and limits.
-func (m *Manager) Snapshot(fn func([]ChargeInfo)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	infos := make([]ChargeInfo, 0, len(m.heaps))
-	for _, sh := range m.heaps {
-		ci := ChargeInfo{
-			Name:        sh.Name,
-			Size:        sh.Size,
-			Frozen:      sh.frozen,
-			Heap:        sh.H,
-			CreateLimit: sh.createLimit,
-		}
-		for _, lim := range sh.sharers {
-			ci.Sharers = append(ci.Sharers, lim)
-		}
-		infos = append(infos, ci)
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	fn(infos)
 }
 
 // ReclaimOrphans merges every orphaned shared heap (frozen, zero sharers)
@@ -254,36 +154,32 @@ func (m *Manager) Snapshot(fn func([]ChargeInfo)) {
 // beginning of each GC cycle and merges them into the kernel heap" (§2).
 // It returns the names reclaimed.
 func (m *Manager) ReclaimOrphans(kernel *heap.Heap) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var names []string
-	for name, sh := range m.heaps {
-		if !sh.frozen || len(sh.sharers) > 0 {
-			continue
-		}
-		if err := sh.H.MergeInto(kernel); err == nil {
-			names = append(names, name)
-			delete(m.heaps, name)
-		}
-	}
-	sort.Strings(names)
-	return names
+	return m.merge(kernel, func(sh *Heap) bool { return sh.frozen && len(sh.sharers) == 0 })
 }
 
 // UnfrozenOwnedBy removes unfrozen heaps created by a process that died
 // mid-population: the heap merges into the kernel heap and the name frees.
 func (m *Manager) UnfrozenOwnedBy(creatorLimit *memlimit.Limit, kernel *heap.Heap) {
+	m.merge(kernel, func(sh *Heap) bool { return !sh.frozen && sh.home.Parent() == creatorLimit })
+}
+
+// merge moves every heap pick selects into the kernel heap, drops it from
+// the ledger and the name table, and returns the names merged, sorted.
+func (m *Manager) merge(kernel *heap.Heap, pick func(*Heap) bool) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var names []string
 	for name, sh := range m.heaps {
-		if sh.frozen || sh.createLimit == nil {
+		if !pick(sh) || sh.H.MergeInto(kernel) != nil {
 			continue
 		}
-		if sh.createLimit.Parent() == creatorLimit {
-			if err := sh.H.MergeInto(kernel); err == nil {
-				sh.createLimit.Release()
-				delete(m.heaps, name)
-			}
+		if !sh.frozen {
+			sh.home.Release()
 		}
+		m.removeLocked(&sh.Entry)
+		delete(m.heaps, name)
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	return names
 }

@@ -258,13 +258,58 @@ func TestFrozenHeapRejectsAllocation(t *testing.T) {
 	}
 }
 
-func TestHeapsSorted(t *testing.T) {
+// Freezing moves the heap's storage from the creator's soft limit to the
+// base, both children of the root: the root holds those bytes before and
+// after, so the freeze must succeed however little headroom it has left.
+func TestFreezeUnderNearlyFullRoot(t *testing.T) {
 	w := newWorld(t)
-	creator := w.procLimit(t, "c", 1<<20)
-	buildFrozen(t, w, creator, "zz")
-	buildFrozen(t, w, creator, "aa")
-	hs := w.mgr.Heaps()
-	if len(hs) != 2 || hs[0].Name != "aa" || hs[1].Name != "zz" {
-		t.Errorf("heaps order: %v, %v", hs[0].Name, hs[1].Name)
+	creator := w.procLimit(t, "creator", 1<<20)
+	sh, err := w.mgr.Create("big", creator, 512<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Root, err = sh.H.AllocExtra(w.cls, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.root.SetMax(w.root.Use()); err != nil { // no headroom at all
+		t.Fatal(err)
+	}
+	if err := w.mgr.Freeze(sh); err != nil {
+		t.Fatalf("freeze under a full root: %v", err)
+	}
+	if creator.Use() != 0 || w.root.Use() != sh.Size {
+		t.Fatalf("after freeze: creator %d, root %d, want 0 and %d", creator.Use(), w.root.Use(), sh.Size)
+	}
+}
+
+// Sharer reads take the ledger lock: this fails under -race if they read
+// the sharer map while a kill detaches on another goroutine.
+func TestSharerReadsRaceAttachDetach(t *testing.T) {
+	w := newWorld(t)
+	sh := buildFrozen(t, w, w.procLimit(t, "c", 1<<20), "raced")
+	lim := w.procLimit(t, "p", 1<<20)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := w.mgr.Attach(sh, "p", lim); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 0 {
+				w.mgr.Detach(sh, "p")
+			} else {
+				w.mgr.DetachAll("p")
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		_ = sh.Sharers()
+		_ = sh.SharedBy("p")
+		_ = sh.Frozen()
+	}
+	<-done
+	if n := sh.Sharers(); n != 0 || lim.Use() != 0 {
+		t.Fatalf("after churn: %d sharer(s), %d bytes charged", n, lim.Use())
 	}
 }

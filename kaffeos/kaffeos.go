@@ -245,7 +245,7 @@ func (vm *VM) ServeTelemetry(addr string) (string, error) {
 
 // Audit re-derives the kernel's accounting books from a globally
 // consistent snapshot — heaps, entry/exit items, the memlimit tree, the
-// page table, and shared-heap charges — and reports every invariant that
+// page table, and the sharing ledger — and reports every invariant that
 // does not hold. graph additionally checks the object graph (cross-heap
 // legality, exit-item backing, no dangling references) and requires the
 // scheduler to be idle. A healthy VM reports no violations no matter what
