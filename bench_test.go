@@ -1,26 +1,28 @@
 package repro
 
-// The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls out.
+// The paper's own host-time benchmarks, plus ablations for the design
+// choices DESIGN.md calls out and the two scaling benchmarks no probe
+// measures.
 //
 //	BenchmarkFig3/...        Figure 3  — workloads across platforms (wall time)
 //	BenchmarkTable1Counts    Table 1   — barriers executed per workload
 //	BenchmarkBarrierMicro/.. §4.1      — cost of one barrier check
 //	BenchmarkFig4Simulation  Figure 4  — servlet scaling curves (fluid model)
-//	BenchmarkServletEngine   §4.2      — the real-VM servlet engine
 //	BenchmarkAblation*                 — exception dispatch, locking,
 //	                                     GC separation, engines, memlimits,
-//	                                     process lifecycle
+//	                                     stack-scan crosstalk
+//	BenchmarkGCParallel                — per-heap collections across cores
+//	BenchmarkAllocParallel             — allocation under a shared memlimit
 //
+// Per-layer host times are bench/'s probes (go run ./bench -quick -trace 1).
 // Regenerate the full paper-style tables with:
 //
-//	go run ./cmd/specbench -experiment fig3|table1|overhead|classes
+//	go run ./cmd/specbench -experiment fig3|table1|overhead|classes|micro
 //	go run ./cmd/servbench
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/barrier"
@@ -29,12 +31,9 @@ import (
 	"repro/internal/heap"
 	"repro/internal/interp"
 	"repro/internal/jserv"
-	"repro/internal/membal"
 	"repro/internal/memlimit"
 	"repro/internal/object"
-	"repro/internal/serve"
 	"repro/internal/spec"
-	"repro/internal/telemetry"
 	"repro/internal/vmaddr"
 )
 
@@ -85,17 +84,7 @@ func benchWorld(b *testing.B, bar barrier.Barrier) (*heap.Registry, *heap.Heap, 
 	reg := heap.NewRegistry(space, heap.Config{HeaderExtra: bar.HeaderExtra()})
 	root := memlimit.NewRoot("root", memlimit.Unlimited)
 	user := reg.NewHeap(heap.KindUser, "user", root.MustChild("user", memlimit.Unlimited, false))
-	mod := bytecode.MustAssemble(".class java/lang/Object\n.end\n.class t/N\n.field next Lt/N;\n.end")
-	objDef, _ := mod.Class("java/lang/Object")
-	objC, err := object.NewClass(objDef, nil, "b", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nDef, _ := mod.Class("t/N")
-	nC, err := object.NewClass(nDef, objC, "b", false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	nC := benchNodeClass(b)
 	holder, err := user.Alloc(nC)
 	if err != nil {
 		b.Fatal(err)
@@ -438,7 +427,7 @@ L0:	goto L0
 }
 
 // benchNodeClass builds the two-class world (Object + a linkable node)
-// used by the GC scaling benchmarks.
+// used by the barrier and GC scaling benchmarks.
 func benchNodeClass(b *testing.B) *object.Class {
 	b.Helper()
 	mod := bytecode.MustAssemble(".class java/lang/Object\n.end\n.class t/N\n.field next Lt/N;\n.end")
@@ -561,404 +550,5 @@ func BenchmarkAllocParallel(b *testing.B) {
 				wg.Wait()
 			})
 		}
-	}
-}
-
-// BenchmarkSpanEmission prices the telemetry side of request tracing:
-// "off" is the hot-path guard alone (one atomic load, the cost every
-// accepted request pays when spans are disabled), "on" is the full
-// finalization — mint an id, fill the ledger, record into the ring, and
-// observe the five kernel phase histograms.
-func BenchmarkSpanEmission(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			rec := telemetry.NewSpanRecorder(0)
-			rec.SetEnabled(on)
-			k := telemetry.NewHub(0).Reg.Kernel()
-			queue := k.Histogram(telemetry.MSpanQueueNs)
-			marshal := k.Histogram(telemetry.MSpanMarshalNs)
-			exec := k.Histogram(telemetry.MSpanExecCycles)
-			gc := k.Histogram(telemetry.MSpanGCCycles)
-			total := k.Histogram(telemetry.MSpanTotalNs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !rec.Enabled() {
-					continue
-				}
-				sp := telemetry.Span{
-					ID:         rec.NextID(),
-					Route:      "/bench",
-					Pid:        1,
-					Status:     200,
-					QueueNs:    120,
-					MarshalNs:  40,
-					ExecCycles: 2000,
-					GCCycles:   500,
-					GCNs:       telemetry.CyclesToNs(500),
-					Quanta:     2,
-					TotalNs:    5000,
-				}
-				rec.Record(sp)
-				queue.Observe(uint64(sp.QueueNs))
-				marshal.Observe(uint64(sp.MarshalNs))
-				exec.Observe(sp.ExecCycles)
-				gc.Observe(sp.GCCycles)
-				total.Observe(uint64(sp.TotalNs))
-			}
-		})
-	}
-}
-
-// BenchmarkServeThroughput measures one request through the serving
-// plane's engine path (admission, dispatch, execution, reply — no TCP),
-// with span recording off and on. The off/on gap is the end-to-end cost
-// of tracing; the gate holds the off variant to the baseline.
-func BenchmarkServeThroughput(b *testing.B) {
-	for _, spans := range []bool{false, true} {
-		name := "spans-off"
-		if spans {
-			name = "spans-on"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, err := serve.NewSharded(core.Config{Engine: core.EngineJITOpt}, serve.Config{Shards: 1},
-				[]serve.TenantConfig{{Route: "/b", WorkUnits: 20}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.VMs()[0].Tel.Spans.SetEnabled(spans)
-			if _, err := srv.Start("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			body := []byte("bench-payload")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if status, _ := srv.Do("/b", body); status != 200 {
-					b.Fatalf("status %d", status)
-				}
-			}
-			b.StopTimer()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkServeShardedThroughput measures the engine path on a sharded
-// plane at 1/2/4 shards: concurrent callers spread over one tenant per
-// shard slot, so with N shards up to N requests execute in parallel on N
-// VMs. The shards-1 case is the old single-engine plane; the scaling gap
-// to shards-4 is what the shard refactor buys on a multi-core host (on a
-// single core the variants should roughly tie — the gate's host line
-// records which case the baseline measured).
-func BenchmarkServeShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			tenants := make([]serve.TenantConfig, 4)
-			routes := make([]string, len(tenants))
-			for i := range tenants {
-				routes[i] = fmt.Sprintf("/b%d", i)
-				tenants[i] = serve.TenantConfig{Route: routes[i], WorkUnits: 20}
-			}
-			srv, err := serve.NewSharded(
-				core.Config{Engine: core.EngineJITOpt},
-				serve.Config{Shards: shards, Place: serve.LeastLoaded},
-				tenants)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Start("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			body := []byte("bench-payload")
-			var rr atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				route := routes[int(rr.Add(1)-1)%len(routes)]
-				for pb.Next() {
-					status, _ := srv.Do(route, body)
-					if status != 200 && status != 503 {
-						b.Errorf("status %d", status)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			for i, vm := range srv.VMs() {
-				if rep := vm.Audit(true); !rep.OK() {
-					b.Fatalf("shard %d post-run audit failed:\n%s", i, rep)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkProcessLifecycle measures the full create → run → kill →
-// reclaim cycle — the cost of the paper's process abstraction itself.
-func BenchmarkProcessLifecycle(b *testing.B) {
-	vm, err := core.NewVM(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod := bytecode.MustAssemble(`
-.class t/P
-.method main ()V static
-.locals 0
-.stack 1
-L0:	goto L0
-.end
-.end`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := vm.NewProcess("cycle", core.ProcessOptions{MemLimit: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.Load(mod); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Spawn("t/P", "main()V"); err != nil {
-			b.Fatal(err)
-		}
-		if err := vm.Run(200_000); err != nil {
-			b.Fatal(err)
-		}
-		p.Kill(nil)
-		if err := vm.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		if p.State() != core.ProcReclaimed {
-			b.Fatal("not reclaimed")
-		}
-	}
-}
-
-// BenchmarkInitColdStart prices bringing a warm-servlet process to life
-// the slow way: a fresh process whose module load runs the expensive
-// NetWarm <clinit> (a 4096-entry lookup table, ~260k interpreted loop
-// iterations). Paired with BenchmarkForkColdStart below — their ratio is
-// the zygote speedup the serving plane's template tenants buy; see
-// `servbench -net -coldstart` for the end-to-end HTTP version.
-func BenchmarkInitColdStart(b *testing.B) {
-	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod := jserv.NetWarmModule()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := vm.NewProcess("cold", core.ProcessOptions{MemLimit: 8 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.Load(mod); err != nil {
-			b.Fatal(err)
-		}
-		p.Kill(nil)
-		if err := vm.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		if p.State() != core.ProcReclaimed {
-			b.Fatal("not reclaimed")
-		}
-	}
-}
-
-// BenchmarkForkColdStart prices the fast way: the same NetWarm warmup is
-// paid once into a checkpointed template, then every incarnation is a
-// Fork — a deep copy of the frozen heap into a fresh isolated process.
-func BenchmarkForkColdStart(b *testing.B) {
-	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt})
-	if err != nil {
-		b.Fatal(err)
-	}
-	zygote, err := vm.NewProcess("zygote", core.ProcessOptions{MemLimit: 8 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := zygote.Load(jserv.NetWarmModule()); err != nil {
-		b.Fatal(err)
-	}
-	tpl, err := vm.Checkpoint(zygote, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	zygote.Kill(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clone, err := tpl.Fork("clone", core.ProcessOptions{MemLimit: 8 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clone.Kill(nil)
-		if err := vm.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		if clone.State() != core.ProcReclaimed {
-			b.Fatal("not reclaimed")
-		}
-	}
-	b.StopTimer()
-	if err := tpl.Release(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkColdStartSharedCode prices the other cold-start tax: JIT
-// compilation. The NetWide servlet has no clinit — its startup cost is
-// translating a wide method surface (~12k instructions) — so the A/B
-// isolates what the shared code cache buys: with the cache off, every
-// process compiles the module privately before it can answer; with the
-// cache on, the first process compiles once into an immutable artifact
-// and every later process attaches (pure cache hits) and just executes.
-// The hit/miss counters land in the -benchmem baseline via ReportMetric.
-func BenchmarkColdStartSharedCode(b *testing.B) {
-	mod := jserv.NetWideModule()
-	for _, cache := range []bool{false, true} {
-		name := "cache=off"
-		if cache {
-			name = "cache=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt, CodeCache: cache})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// One unmeasured run: records the expected result and, on the
-			// cache arm, pays the one-time compile-and-insert — the role
-			// the first tenant (or a primer) plays in a serving fleet.
-			run := func(i int) int64 {
-				p, err := vm.NewProcess(fmt.Sprintf("wide%d", i), core.ProcessOptions{MemLimit: 8 << 20})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Load(mod); err != nil {
-					b.Fatal(err)
-				}
-				th, err := p.Spawn(jserv.NetWideClass, "selftest()I")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := vm.Run(0); err != nil {
-					b.Fatal(err)
-				}
-				if p.State() != core.ProcReclaimed {
-					b.Fatal("not reclaimed")
-				}
-				return th.Result.I
-			}
-			want := run(-1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := run(i); got != want {
-					b.Fatalf("selftest = %d, want %d", got, want)
-				}
-			}
-			b.StopTimer()
-			if cache {
-				kernel := vm.Tel.Reg.Kernel()
-				b.ReportMetric(float64(kernel.Counter(telemetry.MCodeHits).Value()), "cache-hits")
-				b.ReportMetric(float64(kernel.Counter(telemetry.MCodeMisses).Value()), "cache-misses")
-				vm.CodeMgr.EvictOrphans()
-			}
-			if rep := vm.Audit(true); !rep.OK() {
-				b.Fatalf("post-bench audit failed:\n%s", rep)
-			}
-		})
-	}
-}
-
-// BenchmarkMemBalRebalance prices one controller round: estimate every
-// tenant's allocation rate, solve the square-root split of the budget,
-// and apply the new limits through the memlimit tree. This runs on the
-// engine goroutine between request quanta, so its cost is pure serving
-// overhead; per-op time is one full round over all tenants.
-func BenchmarkMemBalRebalance(b *testing.B) {
-	for _, n := range []int{8, 64} {
-		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
-			root := memlimit.NewRoot("root", memlimit.Unlimited)
-			ctl := &membal.Controller{Budget: uint64(n) * (4 << 20)}
-			targets := make([]membal.Target, n)
-			for i := range targets {
-				l := root.MustChild(fmt.Sprintf("t%d", i), 4<<20, false)
-				live := uint64(256+(i%32)*64) << 10
-				if err := l.Debit(live); err != nil {
-					b.Fatal(err)
-				}
-				targets[i] = membal.Target{ID: int32(i), Limit: l, Live: live}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range targets {
-					// Skewed allocation keeps the rate estimates (and thus
-					// the split) changing every round.
-					targets[j].AllocBytes += uint64(1+j%7) << 12
-				}
-				ctl.Rebalance(uint64(i+1)*100_000, targets)
-			}
-		})
-	}
-}
-
-// BenchmarkServeOvercommit measures one request through an overcommitted
-// plane — four tenants whose even-split share of the budget is tight —
-// with static limits vs the memory controller redistributing the same
-// budget. The controller's cost (rebalance rounds on the engine
-// goroutine) and its benefit (fewer admission-pressure GCs) both land in
-// the per-request time; the gate holds both variants.
-func BenchmarkServeOvercommit(b *testing.B) {
-	const budget = 4 << 20
-	for _, controller := range []bool{false, true} {
-		name := "static"
-		if controller {
-			name = "balanced"
-		}
-		b.Run(name, func(b *testing.B) {
-			tenants := make([]serve.TenantConfig, 4)
-			for i := range tenants {
-				tenants[i] = serve.TenantConfig{
-					Route:     fmt.Sprintf("/b%d", i),
-					WorkUnits: 200,
-					MemKB:     int(budget / 4 >> 10),
-				}
-			}
-			cfg := serve.Config{}
-			if controller {
-				cfg.MemBudget = budget
-			}
-			srv, err := serve.NewSharded(
-				core.Config{Engine: core.EngineJITOpt, TotalMemory: 32<<20 + budget},
-				cfg, tenants)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Start("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			body := make([]byte, 8<<10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				status, _ := srv.Do(fmt.Sprintf("/b%d", i%4), body)
-				if status != 200 && status != 503 {
-					b.Fatalf("status %d", status)
-				}
-			}
-			b.StopTimer()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			for i, vm := range srv.VMs() {
-				if rep := vm.Audit(true); !rep.OK() {
-					b.Fatalf("shard %d post-run audit failed:\n%s", i, rep)
-				}
-			}
-		})
 	}
 }

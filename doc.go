@@ -3,8 +3,9 @@
 // Hsieh, Lepreau — Univ. of Utah; OSDI 2000 / TR UUCS-00-010).
 //
 // The public API lives in repro/kaffeos; the paper's subsystems live under
-// repro/internal (see DESIGN.md for the full inventory); the benchmark
-// harness that regenerates every table and figure of the paper's
-// evaluation is in bench_test.go and the cmd/specbench and cmd/servbench
-// tools (see EXPERIMENTS.md for results).
+// repro/internal (see DESIGN.md for the full inventory). The tables and
+// figures of the paper's evaluation are regenerated by cmd/specbench
+// (Figure 3, Table 1, §4.1, §3.2) and cmd/servbench (Figure 4); bench/
+// times the end-to-end workloads and every layer under them (see
+// EXPERIMENTS.md for results).
 package repro

@@ -245,3 +245,21 @@ func TestViolationError(t *testing.T) {
 		t.Error("empty violation message")
 	}
 }
+
+// A checked reference store runs on every putfield and aastore, so it
+// allocates nothing under any barrier. The cross-heap store records its
+// entry item in the warm-up run; the measured runs only find it.
+func TestStoreAllocatesNothing(t *testing.T) {
+	for _, b := range All() {
+		w := newWorld(t, b)
+		holder := w.mk(t, w.userA)
+		for _, to := range []*heap.Heap{w.userA, w.kernel} {
+			ref := w.mk(t, to)
+			var st Stats
+			var err error
+			if n := testing.AllocsPerRun(100, func() { err = b.Write(w.reg, holder, ref, false, &st) }); n != 0 || err != nil {
+				t.Errorf("%s store into %s: %v Go allocations (err %v), want 0", b.Name(), to.Name, n, err)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/interp"
+	"repro/internal/jserv"
 )
 
 func newTestVM(t testing.TB) *VM {
@@ -890,5 +891,87 @@ CHECK:	aload 0
 	}
 	if th.Result.I != 37+50 {
 		t.Errorf("result = %d, want 87 (err=%v, uncaught=%v)", th.Result.I, th.Err, th.Uncaught)
+	}
+}
+
+// The process abstraction's fixed costs hold their Go allocation counts,
+// which unlike host time do not depend on the host: each stays under
+// ⌊1.15 × the count measured when its ceiling was set⌋.
+func TestProcessAllocationCeilings(t *testing.T) {
+	opts := ProcessOptions{MemLimit: 8 << 20}
+	// incarnation makes a process with mk, runs the VM for budget cycles
+	// (0: until every thread ends), kills the process and checks that it
+	// was reclaimed.
+	incarnation := func(vm *VM, budget uint64, mk func() *Process) func() {
+		return func() {
+			p := mk()
+			err := vm.Run(budget)
+			p.Kill(nil)
+			if err == nil {
+				err = vm.Run(0)
+			}
+			if err != nil || p.State() != ProcReclaimed {
+				t.Fatalf("%s: %v, state %v", p.Name, err, p.State())
+			}
+		}
+	}
+	// proc makes a process that loads mod and, if given, spawns entry
+	// (class, method).
+	proc := func(vm *VM, mod *bytecode.Module, entry ...string) func() *Process {
+		return func() *Process {
+			p := mustProc(t, vm, "pin", opts)
+			if err := p.Load(mod); err != nil {
+				t.Fatal(err)
+			}
+			if entry != nil {
+				spawn(t, p, entry[0], entry[1])
+			}
+			return p
+		}
+	}
+
+	spin := bytecode.MustAssemble(".class t/P\n.method main ()V static\n.locals 0\n.stack 1\nL0:\tgoto L0\n.end\n.end")
+	warm, wide := jserv.NetWarmModule(), jserv.NetWideModule()
+	plain, cached := newTestVM(t), newCacheVM(t, Config{})
+	vm, err := NewVM(Config{Engine: EngineJITOpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zygote := proc(vm, warm)()
+	tpl, err := vm.Checkpoint(zygote, "pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zygote.Kill(nil)
+	t.Cleanup(func() {
+		if err := tpl.Release(); err != nil {
+			t.Error(err)
+		}
+	})
+
+	for _, c := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"lifecycle", 292, incarnation(plain, 200_000, proc(plain, spin, "t/P", "main()V"))},
+		{"init-coldstart", 386, incarnation(vm, 0, proc(vm, warm))},
+		{"fork-coldstart", 299, incarnation(vm, 0, func() *Process {
+			clone, err := tpl.Fork("clone", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return clone
+		})},
+		// NetWide's cold start is compiling a wide method surface: each
+		// process privately, or once into the cache and then attached.
+		{"codecache-off", 9524, incarnation(vm, 0, proc(vm, wide, jserv.NetWideClass, "selftest()I"))},
+		{"codecache-on", 1344, incarnation(cached, 0, proc(cached, wide, jserv.NetWideClass, "selftest()I"))},
+	} {
+		n := testing.AllocsPerRun(20, c.op)
+		t.Logf("%s: %v allocations per op", c.name, n)
+		if n > c.max {
+			t.Errorf("%s: %v Go allocations per op, ceiling %v", c.name, n, c.max)
+		}
 	}
 }

@@ -422,3 +422,36 @@ func TestControllerEmitsEvent(t *testing.T) {
 		t.Fatalf("no EvMemRebalance in %d events", len(evs))
 	}
 }
+
+// One controller round runs on the engine goroutine between request
+// quanta. Its Go allocations (the estimates, the split, the Applied
+// slice) stay under ⌊1.15 × the count measured when the ceiling was set⌋.
+func TestRebalanceAllocationCeiling(t *testing.T) {
+	for _, c := range []struct {
+		tenants int
+		max     float64
+	}{{8, 9}, {64, 12}} {
+		root := memlimit.NewRoot("root", memlimit.Unlimited)
+		ctl := &Controller{Budget: uint64(c.tenants) * (4 << 20)}
+		targets := make([]Target, c.tenants)
+		for i := range targets {
+			live := uint64(256+(i%32)*64) << 10
+			targets[i] = Target{ID: int32(i), Limit: root.MustChild("t", 4<<20, false), Live: live}
+			if err := targets[i].Limit.Debit(live); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var now uint64
+		n := testing.AllocsPerRun(50, func() {
+			for j := range targets {
+				targets[j].AllocBytes += uint64(1+j%7) << 12 // skewed, so the split keeps moving
+			}
+			now += 100_000
+			ctl.Rebalance(now, targets)
+		})
+		t.Logf("%d tenants: %v allocations per round", c.tenants, n)
+		if n > c.max {
+			t.Errorf("%d tenants: %v Go allocations per round, ceiling %v", c.tenants, n, c.max)
+		}
+	}
+}

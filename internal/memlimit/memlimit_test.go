@@ -316,3 +316,17 @@ func TestPropSoftReflection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every heap allocation debits its process limit and every collection
+// credits it, so a debit/credit pair allocates nothing, whether it climbs
+// a soft chain or stops at a hard reservation.
+func TestDebitCreditAllocatesNothing(t *testing.T) {
+	for _, hard := range []bool{false, true} {
+		l := NewRoot("root", Unlimited).MustChild("l1", Unlimited, hard).
+			MustChild("l2", Unlimited, false).MustChild("l3", 64<<20, false)
+		var err error
+		if n := testing.AllocsPerRun(100, func() { err = l.Debit(64); l.Credit(64) }); n != 0 || err != nil {
+			t.Errorf("hard=%v: debit+credit made %v Go allocations (err %v), want 0", hard, n, err)
+		}
+	}
+}

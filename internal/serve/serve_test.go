@@ -435,3 +435,64 @@ func TestServeGracefulShutdownUnderLoad(t *testing.T) {
 		})
 	}
 }
+
+// raceDetector is set by race_test.go. The race runtime adds Go
+// allocations of its own, so the ceilings below do not apply under it.
+var raceDetector bool
+
+// One request through the engine path (admission, dispatch, execution,
+// reply; no TCP), the engine goroutine's share included, stays under
+// ⌊1.15 × the Go allocations measured when its ceiling was set⌋.
+func TestDoAllocationCeilings(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const budget = 4 << 20
+	for _, c := range []struct {
+		name    string
+		max     float64
+		cfg     Config
+		tenants int
+		spans   bool
+		// tight is the overcommitted fleet: 8 KiB bodies to tenants whose
+		// even split of the budget is tight, under static limits or the
+		// memory controller.
+		tight bool
+	}{
+		{"spans-off", 23, Config{}, 1, false, false},
+		{"spans-on", 24, Config{}, 1, true, false},
+		{"shards-4", 23, Config{Shards: 4, Place: LeastLoaded}, 4, false, false},
+		{"overcommit-static", 24, Config{}, 4, false, true},
+		{"overcommit-balanced", 24, Config{MemBudget: budget}, 4, false, true},
+	} {
+		vmCfg, work, memKB, body := core.Config{}, 20, 0, make([]byte, 13)
+		if c.tight {
+			vmCfg, work, memKB, body = core.Config{TotalMemory: 32<<20 + budget}, 200, budget/4>>10, make([]byte, 8<<10)
+		}
+		tenants := make([]TenantConfig, c.tenants)
+		for i := range tenants {
+			tenants[i] = TenantConfig{Route: fmt.Sprintf("/b%d", i), WorkUnits: work, MemKB: memKB}
+		}
+		s, _, _ := startServer(t, vmCfg, c.cfg, tenants)
+		for _, vm := range s.VMs() {
+			vm.Tel.Spans.SetEnabled(c.spans)
+		}
+		i, bad := 0, 0
+		n := testing.AllocsPerRun(200, func() {
+			if status, _ := s.Do(tenants[i%len(tenants)].Route, body); status != 200 && status != 503 {
+				bad = status
+			}
+			i++
+		})
+		if err := s.Close(); err != nil || bad != 0 {
+			t.Fatalf("%s: close: %v, bad status %d", c.name, err, bad)
+		}
+		for _, vm := range s.VMs() {
+			auditOK(t, vm)
+		}
+		t.Logf("%s: %v allocations per request", c.name, n)
+		if n > c.max {
+			t.Errorf("%s: %v Go allocations per request, ceiling %v", c.name, n, c.max)
+		}
+	}
+}

@@ -109,3 +109,30 @@ func TestCyclesToNs(t *testing.T) {
 		t.Fatalf("CyclesToNs(CyclesPerMs) = %d, want 1ms", got)
 	}
 }
+
+// What the serving plane does for every request's span allocates nothing:
+// with spans off, the enabled check; with spans on, the id, the ring slot
+// and the five kernel phase histograms.
+func TestSpanEmissionAllocatesNothing(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		rec := NewSpanRecorder(0)
+		rec.SetEnabled(on)
+		k := NewHub(0).Reg.Kernel()
+		hists := []*Histogram{k.Histogram(MSpanQueueNs), k.Histogram(MSpanMarshalNs),
+			k.Histogram(MSpanExecCycles), k.Histogram(MSpanGCCycles), k.Histogram(MSpanTotalNs)}
+		n := testing.AllocsPerRun(100, func() {
+			if !rec.Enabled() {
+				return
+			}
+			sp := Span{ID: rec.NextID(), Route: "/pin", Pid: 1, Status: 200, QueueNs: 120, MarshalNs: 40,
+				ExecCycles: 2000, GCCycles: 500, GCNs: CyclesToNs(500), Quanta: 2, TotalNs: 5000}
+			rec.Record(sp)
+			for i, v := range []uint64{uint64(sp.QueueNs), uint64(sp.MarshalNs), sp.ExecCycles, sp.GCCycles, uint64(sp.TotalNs)} {
+				hists[i].Observe(v)
+			}
+		})
+		if n != 0 || on != (rec.Total() > 0) {
+			t.Errorf("spans on=%v: %v Go allocations per span, %d recorded; want 0 allocations", on, n, rec.Total())
+		}
+	}
+}
