@@ -10,8 +10,9 @@
 // violations, and forced preemptions, every invariant the paper's design
 // guarantees must still hold:
 //
-//   - every object belongs to exactly one live heap, lies inside one of that
-//     heap's chunks, and on a page the page table maps to that heap;
+//   - every object belongs to exactly one live heap, is not marked dead,
+//     lies inside one of that heap's chunks, and on a page the page table
+//     maps to that heap;
 //   - a heap's accounted bytes equal the recomputed sum of its objects'
 //     sizes, and a frozen heap holds no allocation lease;
 //   - entry and exit items are symmetric: every exit item points at an entry
@@ -181,6 +182,11 @@ func (c *checker) checkObjects() {
 			// live o.Heap may already have been rewritten by a merge.
 			if ov.Heap != v.ID {
 				c.fail("object-owner", "object %#x in heap %q has header heap ID %d", o.Addr, v.Name, ov.Heap)
+			}
+			// Heap membership is the header plus the dead flag, so a
+			// listed object must not carry FlagDead.
+			if ov.Dead {
+				c.fail("object-dead", "object %#x in heap %q is listed but swept", o.Addr, v.Name)
 			}
 			if got, ok := c.w.Pages[o.Addr>>vmaddr.PageShift]; !ok {
 				c.fail("object-page", "object %#x in heap %q lies on an unmapped page", o.Addr, v.Name)

@@ -206,6 +206,15 @@ func TestDetectsAccountingCorruption(t *testing.T) {
 		wantViolation(t, rep, "heap-bytes")
 		wantViolation(t, rep, "limit-reconcile")
 	})
+	t.Run("object-dead", func(t *testing.T) {
+		mod := w.capture()
+		for i := range mod.Heaps {
+			if mod.Heaps[i].Name == "u" {
+				mod.Heaps[i].Objects[0].Dead = true // a swept object left on the list
+			}
+		}
+		wantViolation(t, Check(mod, Options{}), "object-dead")
+	})
 	t.Run("page-owner", func(t *testing.T) {
 		mod := w.capture()
 		mod.Pages[0xdead] = 9999

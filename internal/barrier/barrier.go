@@ -59,15 +59,16 @@ func (v *Violation) Error() string {
 		v.Reason, v.HolderHeap, v.RefHeap)
 }
 
-// Stats counts barrier executions, matching Table 1 of the paper.
+// Stats counts barrier executions, matching Table 1 of the paper. The
+// simulated cycles spent in barriers are Executed × the barrier's
+// CheckCost.
 type Stats struct {
 	Executed   atomic.Uint64 // pointer-store barrier checks performed
-	Cycles     atomic.Uint64 // simulated cycles spent in barriers
 	Violations atomic.Uint64 // segmentation violations raised
 
 	// Sink, when set, receives an EvBarrierViolation event per violation.
 	// The success path never touches it, so the per-store cost stays at
-	// the two counter bumps above.
+	// the one counter bump above.
 	Sink telemetry.Sink
 
 	// Faults, when set, lets the injection plane refuse stores at
@@ -135,7 +136,6 @@ func (b *checking) Enabled() bool     { return true }
 
 func (b *checking) Write(reg *heap.Registry, holder, ref *object.Object, kernelMode bool, st *Stats) error {
 	st.Executed.Add(1)
-	st.Cycles.Add(b.cycles)
 
 	if st.Faults.Fire(faults.SiteBarrierStore) {
 		return st.violate(&Violation{

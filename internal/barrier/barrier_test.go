@@ -174,8 +174,8 @@ func TestStatsCount(t *testing.T) {
 	if got := st.Executed.Load(); got != 10 {
 		t.Errorf("Executed = %d, want 10", got)
 	}
-	if got := st.Cycles.Load(); got != 10*25 {
-		t.Errorf("Cycles = %d, want 250", got)
+	if got := st.Executed.Load() * HeapPointer.CheckCost(); got != 10*25 {
+		t.Errorf("barrier cycles = %d, want 250", got)
 	}
 }
 

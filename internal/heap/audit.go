@@ -14,13 +14,15 @@ type PageRange struct {
 	Pages int
 }
 
-// ObjView pairs a live object pointer with the value of its mutable
-// ownership header, captured inside the snapshot cut. Numeric checks must
-// use the captured Heap field, never the live header: a reclaim merge
-// rewrites Object.Heap after the cut's locks are released.
+// ObjView pairs a live object pointer with the values of its mutable
+// ownership header and dead flag, captured inside the snapshot cut. Numeric
+// checks must use the captured fields, never the live header: a reclaim
+// merge rewrites Object.Heap, and a sweep sets FlagDead, after the cut's
+// locks are released.
 type ObjView struct {
 	Obj  *object.Object
 	Heap vmaddr.HeapID
+	Dead bool
 }
 
 // HeapView is a point-in-time copy of one heap's accounting state, captured
@@ -110,8 +112,8 @@ func (r *Registry) SnapshotAll(extra func()) []HeapView {
 			Chunks:     make([]PageRange, 0, len(h.chunks)),
 			Free:       make([]PageRange, 0, len(h.free)),
 		}
-		for o := range h.objects {
-			v.Objects = append(v.Objects, ObjView{Obj: o, Heap: o.Heap})
+		for _, o := range h.objects {
+			v.Objects = append(v.Objects, ObjView{Obj: o, Heap: o.Heap, Dead: o.Dead()})
 			v.SizedBytes += h.sizeOf(o)
 		}
 		for target, e := range h.entries {

@@ -1,9 +1,10 @@
 package heap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/object"
@@ -58,7 +59,7 @@ func (h *Heap) CopyInto(dst *Heap, mapClass func(*object.Class) (*object.Class, 
 	second.gcMu.Lock()
 	defer second.gcMu.Unlock()
 
-	// Snapshot the source's object set under its mutex, then copy without
+	// Snapshot the source's object list under its mutex, then copy without
 	// it: gcMu excludes collections/merges of h, and the quiescence
 	// contract excludes mutators, so the snapshot stays exact.
 	h.mu.Lock()
@@ -66,14 +67,11 @@ func (h *Heap) CopyInto(dst *Heap, mapClass func(*object.Class) (*object.Class, 
 		h.mu.Unlock()
 		return nil, ErrHeapDead
 	}
-	snap := make([]*object.Object, 0, len(h.objects))
-	for o := range h.objects {
-		snap = append(snap, o)
-	}
+	snap := slices.Clone(h.objects)
 	h.mu.Unlock()
 	// Address order makes the copy — allocation order, fault-site hit
 	// numbering, and therefore the @N crash sweep — deterministic.
-	sort.Slice(snap, func(a, b int) bool { return snap[a].Addr < snap[b].Addr })
+	slices.SortFunc(snap, func(a, b *object.Object) int { return cmp.Compare(a.Addr, b.Addr) })
 
 	copies := make(map[*object.Object]*object.Object, len(snap))
 	for _, o := range snap {
@@ -189,10 +187,10 @@ func (h *Heap) Destroy() error {
 		h.limit.Credit(h.bytes)
 		h.bytes = 0
 	}
-	for o := range h.objects {
+	for _, o := range h.objects {
 		o.Sever()
 	}
-	h.objects = make(map[*object.Object]struct{})
+	h.objects = nil
 
 	for _, c := range h.free {
 		reg.Space.Release(h.ID, c.base, c.pages)

@@ -23,14 +23,18 @@
 //	gcMu (both heaps', ordered by ID, when merging) → reg.crossMu → h.mu
 //	(both heaps', ordered by ID, when merging) → memlimit tree → Space
 //
+// Space's mutex orders only its writers (Reserve, Release, Reassign); page
+// table readers — the No Heap Pointer barrier — take no lock at all.
+//
 // When a process terminates, its heap is merged into the kernel heap; the
 // kernel collector then reclaims everything, including user/kernel cycles.
 package heap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -286,12 +290,17 @@ type Heap struct {
 	// It is acquired before reg.crossMu and h.mu, never after.
 	gcMu sync.Mutex
 
-	mu      sync.Mutex
-	objects map[*object.Object]struct{}
+	mu sync.Mutex
+	// objects lists the heap's objects in allocation order (a merge
+	// appends the merged heap's list). Membership needs no lookup: see
+	// owns.
+	objects []*object.Object
 	chunks  []chunk
 	cur     int // index of chunk being bump-allocated
 	free    []chunk
 	bytes   uint64
+	// byBase is sweep scratch: indexes into chunks sorted by base address.
+	byBase []int
 	// lease is headroom already debited from limit but not yet allocated:
 	// allocations that fit take it with only h.mu held.
 	lease uint64
@@ -344,6 +353,8 @@ type chunk struct {
 	base  uint64
 	pages int
 	off   uint64
+	// live is sweep scratch: some surviving object lies in the chunk.
+	live bool
 }
 
 // NewHeap creates a heap whose allocations are debited from limit.
@@ -363,7 +374,6 @@ func (r *Registry) NewOwnedHeap(kind Kind, name string, limit *memlimit.Limit, o
 		Pid:     pid,
 		reg:     r,
 		limit:   limit,
-		objects: make(map[*object.Object]struct{}),
 		entries: make(map[*object.Object]*EntryItem),
 		exits:   make(map[*object.Object]*ExitItem),
 		exitsTo: make(map[vmaddr.HeapID]int),
@@ -494,7 +504,7 @@ func (h *Heap) adopt(o *object.Object, size uint64) error {
 		// sweep an object born after its root snapshot.
 		o.SetMark(true)
 	}
-	h.objects[o] = struct{}{}
+	h.objects = append(h.objects, o)
 	h.bytes += size
 	h.stats.Allocs++
 	h.stats.AllocBytes += size
@@ -542,8 +552,21 @@ func (h *Heap) bump(size uint64) (uint64, error) {
 func (h *Heap) Contains(o *object.Object) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, ok := h.objects[o]
-	return ok
+	return h.owns(o)
+}
+
+// owns reports whether o is on h's object list, without searching it. The
+// header heap ID and the dead flag decide, because of three rules:
+//   - adopt stamps o.Heap only once o is charged, addressed and listed, so
+//     an object whose allocation failed carries no heap;
+//   - MergeInto rewrites the headers of everything it moves under both
+//     heaps' mutexes, so an object merged away no longer names h;
+//   - sweep and Destroy set FlagDead on every object they drop, and no
+//     path clears it.
+//
+// Caller holds h.mu, which makes o's header stable if it names h.
+func (h *Heap) owns(o *object.Object) bool {
+	return o.Heap == h.ID && !o.Dead()
 }
 
 // RecordCrossRef notes that an object in h now references target, which
@@ -636,13 +659,11 @@ func (h *Heap) Collect(roots RootFunc) GCResult {
 	externalLive := make(map[*object.Object]bool)
 
 	pushRoot := func(o *object.Object) {
-		if o == nil || o.Heap != h.ID {
-			return
-		}
-		// Membership and ownership are checked before the mark bit is
-		// touched: roots may over-approximate, and a foreign object's
-		// flags must never be read while its own heap collects.
-		if _, mine := h.objects[o]; !mine {
+		// Ownership is checked before the mark bit is touched: roots may
+		// over-approximate (stale, swept or foreign objects), and a foreign
+		// object's flags must never be read while its own heap collects —
+		// owns reads them only once the header names h.
+		if o == nil || !h.owns(o) {
 			return
 		}
 		if o.Marked() {
@@ -724,21 +745,35 @@ func (h *Heap) Collect(roots RootFunc) GCResult {
 	reg.crossMu.Unlock() // h.mu stays held for the supplementary mark + sweep
 	mark()
 
-	// Sweep (h.mu only). Freed bytes and the standing lease are credited
-	// back to the memlimit tree in one batch, and fully-dead chunks are
-	// recycled or released.
-	for o := range h.objects {
-		if o.Marked() {
-			o.SetMark(false)
+	// Sweep (h.mu only): compact the object list in place, noting the
+	// chunk of every survivor as it goes. Freed bytes and the standing
+	// lease are credited back to the memlimit tree in one batch, and
+	// chunks no survivor lies in are recycled or released.
+	for i := range h.chunks {
+		h.chunks[i].live = false
+	}
+	h.byBase = h.byBase[:0]
+	var lo, hi uint64 // the chunk the previous survivor lay in
+	kept := h.objects[:0]
+	for _, o := range h.objects {
+		if !o.Marked() {
+			size := h.sizeOf(o)
+			h.bytes -= size
+			res.Swept++
+			res.FreedBytes += size
+			o.Sever()
 			continue
 		}
-		size := h.sizeOf(o)
-		delete(h.objects, o)
-		h.bytes -= size
-		res.Swept++
-		res.FreedBytes += size
-		o.Sever()
+		o.SetMark(false)
+		kept = append(kept, o)
+		// Allocation order keeps neighbours on one chunk; search only when
+		// a survivor leaves the previous one.
+		if o.Addr-lo >= hi-lo {
+			lo, hi = h.markChunkLocked(o.Addr)
+		}
 	}
+	clear(h.objects[len(kept):])
+	h.objects = kept
 	if res.Swept > 0 {
 		res.PagesReleased = h.sweepChunksLocked()
 	}
@@ -805,46 +840,48 @@ func (h *Heap) emitFastPathLocked() {
 	})
 }
 
-// sweepChunksLocked retires chunks that no surviving object lies in:
-// standard-size chunks go to the heap's bounded free list for reuse,
-// everything else (oversized chunks, free-list overflow) is released back
-// to the address space. Returns the number of pages released. Caller
-// holds h.mu.
-func (h *Heap) sweepChunksLocked() int {
-	if len(h.chunks) == 0 {
+// markChunkLocked flags the chunk holding addr live and returns its
+// address range. The first call of a sweep sorts an index of the chunks by
+// base: they are not address-ordered in general (merge appends foreign
+// ranges, recycling re-appends old bases). Caller holds h.mu.
+func (h *Heap) markChunkLocked(addr uint64) (lo, hi uint64) {
+	if len(h.byBase) == 0 {
+		for i := range h.chunks {
+			h.byBase = append(h.byBase, i)
+		}
+		slices.SortFunc(h.byBase, func(a, b int) int { return cmp.Compare(h.chunks[a].base, h.chunks[b].base) })
+	}
+	i, found := slices.BinarySearchFunc(h.byBase, addr, func(i int, addr uint64) int {
+		c := &h.chunks[i]
+		switch {
+		case addr >= c.base+uint64(c.pages)<<vmaddr.PageShift:
+			return -1
+		case addr < c.base:
+			return 1
+		}
 		return 0
+	})
+	if !found {
+		return 0, 0 // outside every chunk: the auditor's object-chunk rule
 	}
-	// Chunks are not address-ordered in general (merge appends foreign
-	// ranges, recycling re-appends old bases), so sort an index for the
-	// per-object binary search.
-	idx := make([]int, len(h.chunks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return h.chunks[idx[a]].base < h.chunks[idx[b]].base })
-	live := make([]bool, len(h.chunks))
-	for o := range h.objects {
-		lo, hi := 0, len(idx)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			c := &h.chunks[idx[mid]]
-			if o.Addr >= c.base+uint64(c.pages)<<vmaddr.PageShift {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(idx) && o.Addr >= h.chunks[idx[lo]].base {
-			live[idx[lo]] = true
-		}
-	}
+	c := &h.chunks[h.byBase[i]]
+	c.live = true
+	return c.base, c.base + uint64(c.pages)<<vmaddr.PageShift
+}
+
+// sweepChunksLocked retires chunks that no surviving object lies in (the
+// sweep flagged the others live): standard-size chunks go to the heap's
+// bounded free list for reuse, everything else (oversized chunks,
+// free-list overflow) is released back to the address space. Returns the
+// number of pages released. Caller holds h.mu.
+func (h *Heap) sweepChunksLocked() int {
 	std := h.reg.Cfg.pagesPerChunk()
 	released := 0
 	curSurvived := -1
 	kept := h.chunks[:0]
 	for i := range h.chunks {
 		c := h.chunks[i]
-		if live[i] {
+		if c.live {
 			if i == h.cur {
 				curSurvived = len(kept)
 			}
@@ -945,7 +982,7 @@ func (h *Heap) Freeze() {
 	defer h.mu.Unlock()
 	h.flushLeaseLocked()
 	h.frozen = true
-	for o := range h.objects {
+	for _, o := range h.objects {
 		o.Flags |= object.FlagFrozen
 	}
 }

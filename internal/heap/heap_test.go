@@ -613,3 +613,72 @@ func TestAllocateBlackSurvivesInFlightGC(t *testing.T) {
 		t.Error("allocate-black object kept a stale mark bit")
 	}
 }
+
+// TestStaleRootsAreIgnored roots a collection at objects that left the
+// heap — swept by an earlier collection, merged into another heap, or
+// destroyed with theirs. Membership is the header plus the dead flag, so
+// none of them may be marked, scanned or reported as contained.
+func TestStaleRootsAreIgnored(t *testing.T) {
+	w := newWorld(t, Config{})
+	h := w.userHeap(t, "p", memlimit.Unlimited)
+	keep := w.alloc(t, h)
+	swept := w.alloc(t, h)
+	if res := h.Collect(rootsOf(keep)); res.Swept != 1 || !swept.Dead() {
+		t.Fatalf("setup: swept %d, garbage dead %v", res.Swept, swept.Dead())
+	}
+
+	g := w.userHeap(t, "g", memlimit.Unlimited)
+	merged := w.alloc(t, g)
+	if err := g.MergeInto(w.kernel); err != nil {
+		t.Fatal(err)
+	}
+	d := w.userHeap(t, "d", memlimit.Unlimited)
+	destroyed := w.alloc(t, d)
+	if err := d.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, c := range map[string]struct {
+		o    *object.Object
+		from *Heap
+	}{"swept": {swept, h}, "merged": {merged, g}, "destroyed": {destroyed, d}} {
+		if c.from.Contains(c.o) {
+			t.Errorf("%s: old heap still contains it", name)
+		}
+		if h.Contains(c.o) {
+			t.Errorf("%s: collected heap contains it", name)
+		}
+	}
+	if !w.kernel.Contains(merged) {
+		t.Error("merge target does not contain the merged object")
+	}
+
+	res := h.Collect(rootsOf(keep, swept, merged, destroyed))
+	if res.Scanned != 1 || res.Swept != 0 {
+		t.Errorf("collection with stale roots scanned %d, swept %d; want 1, 0", res.Scanned, res.Swept)
+	}
+	if h.Objects() != 1 || !h.Contains(keep) {
+		t.Errorf("heap lists %d objects after the collection, want only the live one", h.Objects())
+	}
+	for _, o := range []*object.Object{swept, merged, destroyed} {
+		if o.Marked() {
+			t.Errorf("stale root %v left marked", o)
+		}
+	}
+}
+
+// TestAllocAllocationCeiling pins the Go allocations of Heap.Alloc: listing,
+// addressing and charging an object cost nothing amortised beyond building
+// it with object.New.
+func TestAllocAllocationCeiling(t *testing.T) {
+	w := newWorld(t, Config{})
+	h := w.userHeap(t, "p", memlimit.Unlimited)
+	var sink *object.Object
+	built := testing.AllocsPerRun(1000, func() { sink = object.New(w.node) })
+	var err error
+	allocated := testing.AllocsPerRun(1000, func() { sink, err = h.Alloc(w.node) })
+	if err != nil || allocated > built {
+		t.Errorf("Heap.Alloc: %v Go allocations per object (err %v), object.New alone %v", allocated, err, built)
+	}
+	t.Logf("Heap.Alloc %v, object.New %v Go allocations per object (%v)", allocated, built, sink)
+}

@@ -3,7 +3,6 @@ package heap
 import (
 	"fmt"
 
-	"repro/internal/object"
 	"repro/internal/vmaddr"
 )
 
@@ -82,11 +81,11 @@ func (h *Heap) MergeInto(dst *Heap) error {
 		dst.chunks = append(dst.chunks, chunk{base: c.base, pages: c.pages, off: uint64(c.pages) << vmaddr.PageShift})
 	}
 	h.chunks = nil
-	for o := range h.objects {
+	for _, o := range h.objects {
 		o.Heap = dst.ID
-		dst.objects[o] = struct{}{}
 	}
-	h.objects = make(map[*object.Object]struct{})
+	dst.objects = append(dst.objects, h.objects...)
+	h.objects = nil
 
 	// Every exit counter aimed at h now describes references into dst:
 	// remap them across all live heaps before dissolving items, so the

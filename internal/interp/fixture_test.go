@@ -224,13 +224,6 @@ func (fx *fixture) mustInt(th *Thread, v int64) {
 	}
 }
 
-// benchFixture builds a fixture for benchmarks with unlimited memory.
-func benchFixture(b *testing.B) *fixture {
-	return newFixture(b, barrierNoneForBench(), 1<<62)
-}
-
-func barrierNoneForBench() barrier.Barrier { return barrier.NoBarrier }
-
 // mustUncaught asserts the thread died with an uncaught throwable of class.
 func (fx *fixture) mustUncaught(th *Thread, cls string) {
 	fx.t.Helper()

@@ -348,49 +348,3 @@ func TestMegamorphicDispatch(t *testing.T) {
 		fx.mustInt(th, 1+2+1)
 	}
 }
-
-func BenchmarkEngines(b *testing.B) {
-	src := `
-.class t/B
-.method work (I)I static
-.locals 4
-.stack 4
-	iconst 0
-	istore 1
-	iconst 0
-	istore 2
-L0:	iload 2
-	iload 0
-	if_icmpge L1
-	iload 1
-	iload 2
-	iadd
-	istore 1
-	iinc 2 1
-	goto L0
-L1:	iload 1
-	ireturn
-.end
-.end`
-	for _, eng := range engines() {
-		b.Run(eng.Name(), func(b *testing.B) {
-			fx := benchFixture(b)
-			fx.define(src)
-			m := fx.method("t/B", "work(I)I")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th := fx.newThread()
-				if err := th.PushFrame(m, []Slot{IntSlot(1000)}); err != nil {
-					b.Fatal(err)
-				}
-				for th.State != StateFinished && th.State != StateKilled {
-					th.Fuel = 1 << 30
-					eng.Step(th)
-				}
-				if th.Result.I != 499500 {
-					b.Fatalf("bad result %d", th.Result.I)
-				}
-			}
-		})
-	}
-}

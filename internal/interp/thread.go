@@ -278,7 +278,12 @@ func (t *Thread) popFrame() {
 	clear(f.Monitors)
 	clear(f.Locals)
 	clear(f.Stack)
-	*f = Frame{Monitors: f.Monitors[:0], slots: f.slots}
+	// Field by field, not *f = Frame{...}: a whole-struct store is a bulk
+	// copy with a bulk write barrier on every return.
+	f.M, f.body = nil, nil
+	f.PC, f.SP = 0, 0
+	f.Locals, f.Stack = nil, nil
+	f.Monitors = f.Monitors[:0]
 	t.Frames = t.Frames[:n]
 }
 

@@ -1,6 +1,7 @@
 package vmaddr
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,160 @@ func TestPropReservationResolution(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeapOfRacingWriters resolves pages while a writer reserves, reassigns
+// and releases them: every answer must name a heap that owned that page at
+// some point (or report it unmapped). The writer's plan is fixed up front —
+// reservations from one goroutine get consecutive bases — so readers know
+// each page's possible owners without synchronizing with the writer.
+func TestHeapOfRacingWriters(t *testing.T) {
+	s := NewSpace()
+	type lease struct {
+		first, n      uint64 // pages, relative to baseAddr's
+		owner, merged HeapID
+	}
+	const rounds = 3000
+	plan := make([]lease, rounds)
+	var byPage []int32 // page - baseAddr's page -> plan index
+	for i := range plan {
+		n := uint64(1 + i%16)
+		plan[i] = lease{first: uint64(len(byPage)), n: n, owner: s.NewHeapID(), merged: s.NewHeapID()}
+		for j := uint64(0); j < n; j++ {
+			byPage = append(byPage, int32(i))
+		}
+	}
+	first := baseAddr >> PageShift
+
+	// check resolves pseudo-random pages until stop is closed, then once
+	// more over every page, and reports how many resolved to a heap.
+	check := func(x uint64, stop <-chan struct{}) (hits int) {
+		resolve := func(rel uint64) bool {
+			got, ok := s.HeapOf((first+rel)<<PageShift + x%PageSize)
+			if !ok {
+				return true
+			}
+			hits++
+			if l := plan[byPage[rel]]; got != l.owner && got != l.merged {
+				t.Errorf("page %d resolved to heap %d; its owners were %d and %d", rel, got, l.owner, l.merged)
+				return false
+			}
+			return true
+		}
+		for {
+			select {
+			case <-stop:
+				for rel := range byPage {
+					if !resolve(uint64(rel)) {
+						return hits
+					}
+				}
+				return hits
+			default:
+			}
+			for k := 0; k < 64; k++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				if !resolve(x % uint64(len(byPage))) {
+					return hits
+				}
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var ready, wg sync.WaitGroup
+	resolved := make([]int, 2)
+	for r := range resolved {
+		ready.Add(1)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ready.Done()
+			resolved[r] = check(uint64(r)*0x9e3779b97f4a7c15+1, stop)
+		}(r)
+	}
+	ready.Wait()
+	for i, l := range plan {
+		base, err := s.Reserve(l.owner, int(l.n))
+		if err != nil || base != (first+l.first)<<PageShift {
+			t.Fatalf("reservation %d at %#x, %v; planned %#x", i, base, err, (first+l.first)<<PageShift)
+		}
+		if i%2 == 0 {
+			s.Reassign(base, int(l.n), l.merged)
+		}
+		if i%3 != 0 {
+			owner := l.owner
+			if i%2 == 0 {
+				owner = l.merged
+			}
+			s.Release(owner, base, int(l.n))
+		}
+		if i%64 == 0 {
+			runtime.Gosched() // let the readers in at -cpu 1
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if resolved[0]+resolved[1] == 0 {
+		t.Error("no lookup resolved to a heap")
+	}
+}
+
+// leaves reports how many page-table leaves are allocated: the table's
+// memory, in units of one leaf.
+func (s *Space) leaves() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	d := s.dir.Load()
+	for i := range d.leaves {
+		if d.leaves[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLeavesTrackLivePages churns reservations past a long-lived one (the
+// kernel heap's first chunk, say): the page table keeps only the leaves
+// that still map a page, plus the one being filled.
+func TestLeavesTrackLivePages(t *testing.T) {
+	s := NewSpace()
+	pinned := s.NewHeapID()
+	if _, err := s.Reserve(pinned, 4); err != nil {
+		t.Fatal(err)
+	}
+	h := s.NewHeapID()
+	for i := 0; i < 10000; i++ {
+		base, err := s.Reserve(h, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(h, base, 16)
+	}
+	if n := s.leaves(); n > 2 {
+		t.Errorf("%d page-table leaves after churn, want <= 2", n)
+	}
+	if n := s.Pages(); n != 4 {
+		t.Errorf("Pages = %d, want the 4 pinned", n)
+	}
+	if n := s.PagesOwned(pinned); n != 4 {
+		t.Errorf("PagesOwned(pinned) = %d, want 4", n)
+	}
+}
+
+func TestHeapOfAllocatesNothing(t *testing.T) {
+	s := NewSpace()
+	h := s.NewHeapID()
+	base, err := s.Reserve(h, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got HeapID
+	if n := testing.AllocsPerRun(100, func() { got, _ = s.HeapOf(base + PageSize) }); n != 0 || got != h {
+		t.Errorf("HeapOf: %v Go allocations (got heap %d), want 0", n, got)
 	}
 }
