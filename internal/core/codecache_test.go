@@ -261,6 +261,7 @@ func TestCodeCacheInterpNoop(t *testing.T) {
 
 const virtualSrc = `
 .class app/A
+.static n I
 .method <init> ()V
 .locals 1
 .stack 1
@@ -276,19 +277,28 @@ const virtualSrc = `
 .end
 .method main ()I static
 .locals 0
-.stack 2
+.stack 3
+	getstatic app/A.n I
+	iconst 7
+	iadd
+	putstatic app/A.n I
 	new app/A
 	dup
 	invokespecial app/A.<init> ()V
 	invokevirtual app/A.val ()I
+	getstatic app/A.n I
+	iconst 7
+	isub
+	iadd
 	ireturn
 .end
 .end`
 
 // A shared artifact holds nothing process-specific: once a sharer that
-// ran a virtual call through it is reclaimed, neither the process nor its
-// classes stay reachable from the code cache, while another sharer keeps
-// the artifact attached and running.
+// ran a virtual call, a constructor-chain statement and static-field
+// statements through it is reclaimed, neither the process nor its classes
+// stay reachable from the code cache, while another sharer keeps the
+// artifact attached and running.
 func TestCodeCacheArtifactHoldsNoProcessState(t *testing.T) {
 	vm := newCacheVM(t, Config{})
 	p2 := mustProc(t, vm, "p2", ProcessOptions{})
@@ -326,6 +336,9 @@ func runAndReclaim(t *testing.T, vm *VM, p2 *Process) (weak.Pointer[Process], we
 	cls, err := p1.Loader.Class("app/A")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if main, _ := cls.MethodByKey("main()I"); interp.CoverageOf(main).Ctors != 1 || interp.CoverageOf(main).Statics != 3 {
+		t.Fatalf("app/A.main compiles to %+v, want one constructor statement and three static accesses", interp.CoverageOf(main))
 	}
 	spawn(t, p1, "app/A", "main()I")
 	if err := vm.Run(0); err != nil {

@@ -45,10 +45,12 @@ type yieldRec struct {
 var quanta = []int64{1, 2, 3, 7, 13, 5000}
 
 // runOpts configures one differential run. killAfter > 0 posts a kill
-// once that many Steps have returned.
+// once that many Steps have returned; maxFrames > 0 bounds the frame
+// stack.
 type runOpts struct {
 	quantum   int64
 	killAfter int
+	maxFrames int
 }
 
 // runOn executes cls.key on a fresh fixture with the given engine and
@@ -60,6 +62,7 @@ func runOn(t testing.TB, eng Engine, src, cls, key string, o runOpts) (outcome, 
 	t.Helper()
 	fx := newFixture(t, barrier.NoHeapPointer, 1<<30)
 	fx.define(src)
+	fx.env.MaxFrameDepth = o.maxFrames
 	th := fx.newThread()
 	m := fx.method(cls, key)
 	if err := th.PushFrame(m, nil); err != nil {

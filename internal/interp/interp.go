@@ -562,7 +562,6 @@ func execFrame(t *Thread, f *Frame) (StepResult, bool) {
 			}
 			err := t.PushFrame(m, args)
 			f.SP -= nargs
-			f.clearAbove()
 			if err != nil {
 				f.PC-- // re-point at the invoke for diagnostics
 				if res, cont := t.vmThrow(ClsStackOverflow, err.Error()); !cont {
@@ -750,7 +749,6 @@ func (t *Thread) callNative(f *Frame, m *object.Method, nargs int) (StepResult, 
 	args := make([]Slot, nargs)
 	copy(args, f.Stack[f.SP-nargs:f.SP])
 	f.SP -= nargs
-	f.clearAbove()
 
 	if m.Kernel {
 		t.EnterKernel()

@@ -25,8 +25,9 @@ package interp
 //
 // Statement tables are relocatable and hold no process state: closures
 // capture only values that are deterministic per identical ClassDef —
-// local indices, field slots, branch targets, constants, cycle costs, and
-// a loop's statement closures — never a class, field or method pointer.
+// local indices, field slots, constant-pool indices, branch targets,
+// constants, cycle costs, and a loop's statement closures — never a
+// class, field or method pointer.
 // One compiled artifact can therefore be installed into every process
 // that loads the module (internal/codecache), and reclaiming a process
 // leaves nothing of it reachable from the artifact.
@@ -93,5 +94,6 @@ func bodyFor(m *object.Method) *compiled {
 }
 
 func compile(m *object.Method) *compiled {
-	return &compiled{ops: compileStatements(m)}
+	ops, _ := compileStatements(m)
+	return &compiled{ops: ops}
 }

@@ -5,16 +5,18 @@ package interp
 // For every basic block, compileStatements simulates the operand stack and
 // turns each straight-line statement into one closure. Instructions that
 // only produce a value — int and double constants, local loads, int and
-// double arithmetic, i2d/d2i, idiv/irem, getfield, iaload/aaload,
-// arraylength — become nodes: closures that return their value in Go
-// registers instead of pushing it. The instruction that consumes the
-// simulated stack ends the statement as its root: a local store, iinc, an
-// iastore or primitive putfield (each absorbing a following goto), or a
-// branch. Any other instruction, or a branch target, is a block end: the
-// statement pushes its pending values and the instruction runs through
-// the interpreter's switch. Operands already on the real stack when a
-// statement begins are read in place and popped when it commits. So db's
-// inner kernel,
+// double arithmetic, i2d/d2i, idiv/irem, getfield, getstatic,
+// iaload/aaload, arraylength — become nodes: closures that return their
+// value in Go registers instead of pushing it. The instruction that
+// consumes the simulated stack ends the statement as its root: a local
+// store, iinc, an iastore, primitive putfield or primitive putstatic (each
+// absorbing a following goto), or a branch. `dup; invokespecial` of a
+// trivial constructor chain is a statement of its own (see "constructor
+// chains" below). Any other instruction, or a branch target, is a block
+// end: the statement pushes its pending values and the instruction runs
+// through the interpreter's switch. Operands already on the real stack
+// when a statement begins are read in place and popped when it commits.
+// So db's inner kernel,
 //
 //	iload 1; iconst 31; imul; iload 5; ixor; ldc 16777215; iand; istore 1
 //
@@ -22,8 +24,9 @@ package interp
 //
 // Simulated cost stays a property of the program, not of the engine:
 //
-//   - nothing inside a statement allocates, calls, locks, throws, interns
-//     a string or runs a write barrier; those stay in the interpreter;
+//   - nothing inside a statement allocates, calls (but for a trivial
+//     constructor chain), locks, throws, interns a string or runs a write
+//     barrier; those stay in the interpreter;
 //   - a statement runs only when the quantum exceeds its summed cost and no
 //     kill is pending (execFrame), so no instruction it covers could have
 //     yielded or been killed instruction by instruction;
@@ -40,8 +43,9 @@ package interp
 // stop it.
 //
 // Statements capture only module-deterministic values — local indices,
-// constants, field slots, branch targets, other statements — so bodies
-// stay relocatable.
+// constants, field slots, constant-pool indices, branch targets, cycle
+// costs, other statements — so bodies stay relocatable; statics and
+// constructors are resolved through the frame's f.M.Links at run time.
 
 import (
 	"repro/internal/bytecode"
@@ -141,11 +145,24 @@ type stmtBuilder struct {
 	used   int     // real stack slots consumed in place
 }
 
+// Coverage counts what a method's statement table holds beyond plain
+// statements: loop statements, constructor-chain statements, and static
+// field accesses (getstatic nodes and putstatic roots) inside statements.
+type Coverage struct {
+	Loops, Ctors, Statics int
+}
+
+// CoverageOf compiles m afresh and reports what its statement table holds.
+func CoverageOf(m *object.Method) Coverage {
+	_, cover := compileStatements(m)
+	return cover
+}
+
 // compileStatements builds a method's statement table. A statement never
 // spans a branch target or handler entry, so control enters one only at
 // its head; every other pc runs through the interpreter's arm, which is
 // also where a retried or resumed execution continues.
-func compileStatements(m *object.Method) []stmtOp {
+func compileStatements(m *object.Method) ([]stmtOp, Coverage) {
 	code := m.Code
 	n := len(code.Instrs)
 	ops := make([]stmtOp, n)
@@ -160,6 +177,7 @@ func compileStatements(m *object.Method) []stmtOp {
 			b.target[h.PC] = true
 		}
 	}
+	var cover Coverage
 	ends := make([]int, n)
 	for pc := 0; pc < n; {
 		st, end, cost := b.build(pc)
@@ -169,20 +187,33 @@ func compileStatements(m *object.Method) []stmtOp {
 		}
 		ops[pc] = stmtOp{stmt: st, scost: cost}
 		ends[pc] = end
+		for _, in := range code.Instrs[pc:end] {
+			switch in.Op {
+			case bytecode.GETSTATIC, bytecode.PUTSTATIC:
+				cover.Statics++
+			case bytecode.INVOKESPECIAL:
+				cover.Ctors++ // only a constructor statement holds a call
+			}
+		}
 		pc = end
 	}
 	for h := range ops {
 		if ops[h].stmt != nil {
-			ops[h].loop, ops[h].iter = b.loop(ops, ends, h)
+			if ops[h].loop, ops[h].iter = b.loop(ops, ends, h); ops[h].loop != nil {
+				cover.Loops++
+			}
 		}
 	}
-	return ops
+	return ops, cover
 }
 
 // build compiles the statement starting at s: its closure, the pc after
 // it and its summed cost. It returns nil when fewer than two instructions
 // would fold, which a statement could not run any faster.
 func (b *stmtBuilder) build(s int) (closure, int, int64) {
+	if st, end, cost := b.ctor(s); st != nil {
+		return st, end, cost
+	}
 	instrs := b.m.Code.Instrs
 	b.stack, b.used = b.stack[:0], 0
 	var cost int64
@@ -278,6 +309,8 @@ func (b *stmtBuilder) nodeOf(in bytecode.Instr) (sexpr, bool) {
 		if arr, ok := b.pop(true); ok {
 			return sexpr{i: arrayLengthNode(arr)}, true
 		}
+	case bytecode.GETSTATIC:
+		return getstaticNode(int(in.A), b.m.Links[in.A].Field.Ref), true
 	}
 	return sexpr{}, false
 }
@@ -316,6 +349,11 @@ func (b *stmtBuilder) root(s, pc int) (closure, int) {
 			return nil, 0 // reference stores run the write barrier
 		}
 		operands = 2
+	case bytecode.PUTSTATIC:
+		if b.m.Links[in.A].Field.Ref {
+			return nil, 0
+		}
+		operands = 1
 	default:
 		return nil, 0
 	}
@@ -362,6 +400,10 @@ func (b *stmtBuilder) rootOf(in bytecode.Instr, next int, ctl control) closure {
 		if okv && oko {
 			return putfieldStmt(o, v, b.m.Links[in.A].Field.Slot, b.used, next, ctl)
 		}
+	case bytecode.PUTSTATIC:
+		if v, ok := b.pop(false); ok {
+			return putstaticStmt(int(in.A), v, b.used, next, ctl)
+		}
 	case bytecode.IFEQ, bytecode.IFNE, bytecode.IFLT, bytecode.IFGE, bytecode.IFGT, bytecode.IFLE:
 		if x, ok := b.pop(false); ok {
 			return compareStmt(op-bytecode.IFEQ+bytecode.IF_ICMPEQ, x, sexpr{leaf: leafConst}, int(in.A), next, b.used)
@@ -398,6 +440,22 @@ func (b *stmtBuilder) materialize(end int) closure {
 			}
 			f.SP -= used
 			f.push(s)
+			f.PC = end
+			return ctlNext
+		}
+	}
+	if len(b.stack) == 2 {
+		// The common case: a call's receiver and argument, or an array
+		// and index, left for the arm that consumes them.
+		v0, v1 := b.stack[0].slot(), b.stack[1].slot()
+		return func(t *Thread, f *Frame) control {
+			s0, s1 := v0(t, f), v1(t, f)
+			if failed(t) {
+				return ctlRetry
+			}
+			f.SP -= used
+			f.Stack[f.SP], f.Stack[f.SP+1] = s0, s1
+			f.SP += 2
 			f.PC = end
 			return ctlNext
 		}
@@ -741,6 +799,23 @@ func arrayLengthNode(arr sexpr) ival {
 	}
 }
 
+// getstaticNode reads static field a of f's method, resolving the field
+// and its class's statics object at run time as the switch arm does: a
+// fork binds its statics after its classes exist, and the table holds no
+// class.
+func getstaticNode(a int, ref bool) sexpr {
+	if ref {
+		return sexpr{ref: true, r: func(_ *Thread, f *Frame) *object.Object {
+			fl := f.M.Links[a].Field
+			return fl.Class.Statics.Refs[fl.Slot]
+		}}
+	}
+	return sexpr{i: func(_ *Thread, f *Frame) int64 {
+		fl := f.M.Links[a].Field
+		return fl.Class.Statics.Prims[fl.Slot]
+	}}
+}
+
 // ---- roots ----
 //
 // Each root evaluates its operands, returns ctlRetry if a check failed,
@@ -850,6 +925,23 @@ func putfieldStmt(o, v sexpr, slot, used, next int, ctl control) closure {
 		}
 		f.SP -= used
 		p.Prims[slot] = n
+		f.PC = next
+		return ctl
+	}
+}
+
+// putstaticStmt stores a primitive into static field a, resolved at run
+// time like getstaticNode's.
+func putstaticStmt(a int, v sexpr, used, next int, ctl control) closure {
+	x := v.ival()
+	return func(t *Thread, f *Frame) control {
+		n := x(t, f)
+		if failed(t) {
+			return ctlRetry
+		}
+		f.SP -= used
+		fl := f.M.Links[a].Field
+		fl.Class.Statics.Prims[fl.Slot] = n
 		f.PC = next
 		return ctl
 	}
@@ -1069,6 +1161,117 @@ func acmpStmt(x, y rval, eq bool, tgt, fall, used int) closure {
 		f.SP -= used
 		f.branch(a == b, taken, other)
 		return ctlBranch
+	}
+}
+
+// ---- constructor chains ----
+//
+// A statement never calls, with one exception: `dup; invokespecial
+// C.<init>()V` (and a following astore), when C's constructor is a
+// trivial chain — a non-kernel <init>()V without handlers whose body is
+// `return`, or `aload 0; invokespecial S.<init>()V; return` with S's
+// constructor itself trivial. Such a chain pushes and pops frames and
+// charges cycles and has no other effect, so the statement charges its
+// summed cost and leaves the receiver where the calls would. It is exact
+// by the statements' own argument plus three checks, made before any
+// effect; when one fails it returns ctlRetry and the arms run the calls:
+//
+//   - the callee is re-read through f.M.Links and its chain cost must equal
+//     the cost the table captured, so the quantum test in execFrame was
+//     made against the whole chain;
+//   - the receiver must be non-null, or the arm throws NullPointerException;
+//   - len(t.Frames) plus the chain's depth must stay within MaxFrames, or a
+//     push inside the chain throws StackOverflowError.
+//
+// The interpreter's only kill checks inside the chain are the invokes'
+// safepoints; the statement runs only with no kill pending, and nothing
+// inside a chain can post one, so a kill arriving from another goroutine
+// lands as if one chain later.
+
+// maxChain bounds the chains analysed; a deeper one runs through the arms.
+const maxChain = 16
+
+// chain is a trivial constructor chain's summed cost and frame depth; a
+// negative cost marks a constructor that is not one.
+type chain struct {
+	cost  int64
+	depth int
+}
+
+// chainOf returns m's chain, working it out on first use and caching it
+// on m: a method's Links never change after linking.
+func chainOf(m *object.Method) chain {
+	v := m.Ctor.Load()
+	if v == 0 {
+		v = traceChain(m)
+		m.Ctor.Store(v)
+	}
+	return chain{cost: v >> 8, depth: int(v & 0xff)}
+}
+
+// traceChain walks the constructor chain from m and encodes its cost and
+// depth as cost<<8 | depth, or -1 when m is not a trivial constructor.
+func traceChain(m *object.Method) int64 {
+	var cost int64
+	for depth := 1; depth <= maxChain; depth++ {
+		if m == nil || m.Code == nil || m.Kernel || m.Static || m.NArgs != 0 ||
+			m.Name != "<init>" || m.Sig != "()V" || len(m.Code.Handlers) != 0 {
+			return -1
+		}
+		switch in := m.Code.Instrs; {
+		case len(in) == 1 && in[0].Op == bytecode.RETURN:
+			cost += int64(bytecode.RETURN.Cycles())
+			return cost<<8 | int64(depth)
+		case len(in) == 3 && in[0].Op == bytecode.ALOAD && in[0].A == 0 &&
+			in[1].Op == bytecode.INVOKESPECIAL && int(in[1].A) < len(m.Links) &&
+			in[2].Op == bytecode.RETURN && m.MaxLocals >= 1 && m.MaxStack >= 1:
+			cost += int64(bytecode.ALOAD.Cycles() + bytecode.INVOKESPECIAL.Cycles() + bytecode.RETURN.Cycles())
+			m = m.Links[in[1].A].Method
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
+// ctor compiles the constructor statement at s, or returns nil.
+func (b *stmtBuilder) ctor(s int) (closure, int, int64) {
+	instrs := b.m.Code.Instrs
+	if s+1 >= len(instrs) || instrs[s].Op != bytecode.DUP ||
+		instrs[s+1].Op != bytecode.INVOKESPECIAL || b.target[s+1] {
+		return nil, 0, 0
+	}
+	link := int(instrs[s+1].A)
+	ch := chainOf(b.m.Links[link].Method)
+	if ch.cost < 0 {
+		return nil, 0, 0
+	}
+	cost := int64(bytecode.DUP.Cycles()+bytecode.INVOKESPECIAL.Cycles()) + ch.cost
+	end, store := s+2, -1
+	if end < len(instrs) && instrs[end].Op == bytecode.ASTORE && !b.target[end] {
+		store = int(instrs[end].A)
+		cost += int64(bytecode.ASTORE.Cycles())
+		end++
+	}
+	return ctorStmt(link, ch.cost, store, end), end, cost
+}
+
+// ctorStmt runs the trivial chain of link's constructor on the receiver
+// on top of the stack, then stores the receiver into local store (unless
+// negative) and continues at next.
+func ctorStmt(link int, cost int64, store, next int) closure {
+	return func(t *Thread, f *Frame) control {
+		ch := chainOf(f.M.Links[link].Method)
+		r := f.Stack[f.SP-1].R
+		if ch.cost != cost || r == nil || len(t.Frames)+ch.depth > t.Env.MaxFrames() {
+			return ctlRetry
+		}
+		if store >= 0 {
+			f.SP--
+			f.Locals[store] = Slot{R: r}
+		}
+		f.PC = next
+		return ctlNext
 	}
 }
 

@@ -127,7 +127,7 @@ func TestCountedLoopDifferential(t *testing.T) {
 					src := countedSrc(cc, limitFirst, limit)
 					fx := newFixture(t, barrier.NoHeapPointer, memlimit.Unlimited)
 					fx.define(src)
-					if n := LoopsOf(fx.method("l/C", "main()I")); n != 1 {
+					if n := CoverageOf(fx.method("l/C", "main()I")).Loops; n != 1 {
 						t.Fatalf("compiled %d loops, want one", n)
 					}
 					diffLoop(t, src, "l/C")

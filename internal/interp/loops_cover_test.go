@@ -26,9 +26,24 @@ var loopCoverage = map[string]map[string]int{
 	"servlet":   {"jserv/NetServlet.handle([II)I": 2},
 }
 
-// loopsIn loads mod into a fresh process and counts the loops compiled in
-// every method of the classes whose name has the given prefix, by method.
-func loopsIn(t *testing.T, mod *bytecode.Module, prefix string) map[string]int {
+// callCoverage pins, per program, how many constructor-chain statements
+// and static field accesses inside statements the optimizing engine
+// compiles over all of the program's methods.
+var callCoverage = map[string]interp.Coverage{
+	"compress":  {},
+	"jess":      {Ctors: 1},
+	"db":        {Ctors: 1},
+	"javac":     {Ctors: 1, Statics: 4},
+	"mpegaudio": {Ctors: 1},
+	"mtrt":      {Ctors: 1, Statics: 7},
+	"jack":      {Ctors: 2, Statics: 2},
+	"servlet":   {},
+}
+
+// coverageIn loads mod into a fresh process and reports, over every
+// method of the classes whose name has the given prefix, the loops
+// compiled by method and the summed coverage.
+func coverageIn(t *testing.T, mod *bytecode.Module, prefix string) (map[string]int, interp.Coverage) {
 	t.Helper()
 	vm, err := core.NewVM(core.Config{Engine: core.EngineJITOpt, TotalMemory: 256 << 20})
 	if err != nil {
@@ -41,7 +56,8 @@ func loopsIn(t *testing.T, mod *bytecode.Module, prefix string) map[string]int {
 	if err := p.Load(mod); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]int)
+	loops := make(map[string]int)
+	var sum interp.Coverage
 	for _, c := range p.Loader.Classes() {
 		if !strings.HasPrefix(c.Name, prefix) {
 			continue
@@ -50,25 +66,36 @@ func loopsIn(t *testing.T, mod *bytecode.Module, prefix string) map[string]int {
 			if m.Code == nil {
 				continue
 			}
-			if n := interp.LoopsOf(m); n > 0 {
-				out[c.Name+"."+m.Name+m.Sig] = n
+			cv := interp.CoverageOf(m)
+			if cv.Loops > 0 {
+				loops[c.Name+"."+m.Name+m.Sig] = cv.Loops
 			}
+			sum.Loops += cv.Loops
+			sum.Ctors += cv.Ctors
+			sum.Statics += cv.Statics
 		}
 	}
-	return out
+	return loops, sum
 }
 
 func TestLoopCoverage(t *testing.T) {
-	got := map[string]map[string]int{"servlet": loopsIn(t, jserv.NetServletModule(), "jserv/")}
+	loops, sums := map[string]map[string]int{}, map[string]interp.Coverage{}
+	loops["servlet"], sums["servlet"] = coverageIn(t, jserv.NetServletModule(), "jserv/")
 	for _, w := range spec.All() {
-		got[w.Name] = loopsIn(t, w.Module(), w.MainClass[:strings.LastIndex(w.MainClass, "/")+1])
+		loops[w.Name], sums[w.Name] = coverageIn(t, w.Module(), w.MainClass[:strings.LastIndex(w.MainClass, "/")+1])
 	}
 	for prog, want := range loopCoverage {
-		if !maps.Equal(got[prog], want) {
-			t.Errorf("%s: loops by method %v, want %v", prog, got[prog], want)
+		if !maps.Equal(loops[prog], want) {
+			t.Errorf("%s: loops by method %v, want %v", prog, loops[prog], want)
 		}
 	}
-	if len(got) != len(loopCoverage) {
-		t.Errorf("pinned %d programs, compiled %d", len(loopCoverage), len(got))
+	for prog, want := range callCoverage {
+		if got := sums[prog]; got.Ctors != want.Ctors || got.Statics != want.Statics {
+			t.Errorf("%s: %d constructor statements and %d static accesses, want %d and %d",
+				prog, got.Ctors, got.Statics, want.Ctors, want.Statics)
+		}
+	}
+	if len(loops) != len(loopCoverage) || len(loops) != len(callCoverage) {
+		t.Errorf("pinned %d and %d programs, compiled %d", len(loopCoverage), len(callCoverage), len(loops))
 	}
 }

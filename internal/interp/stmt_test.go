@@ -301,8 +301,9 @@ func TestStatementKillPendingDifferential(t *testing.T) {
 // genStatements emits a verified method of straight-line segments for
 // the statement compiler: each segment starts on an empty stack at a
 // label, builds operand trees from every node kind and ends in one root
-// kind — a local store, iinc+goto, iastore, putfield, a forward branch —
-// or in a block end that leaves values for per-instruction code. Nulls,
+// kind — a local store, iinc+goto, iastore, putfield, putstatic, a
+// forward branch, a constructor call on a new or an existing object — or
+// in a block end that leaves values for per-instruction code. Nulls,
 // out-of-range indices and zero divisors occur, so statements bail out;
 // a catch-all handler folds the locals into the result. Two programs in
 // three wrap the segments in a loop over local 8, under one of several
@@ -324,6 +325,9 @@ func genStatements(rng *rand.Rand) string {
 .end
 .end
 .class r/Main
+.static si I
+.static sd D
+.static sr Lr/R;
 .method main ()I static
 .locals 10
 .stack 24
@@ -380,11 +384,13 @@ func genStatements(rng *rand.Rand) string {
 		}
 	}
 	genObj = func(d int) {
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(11); {
 		case d == 0 || k < 5:
 			emit("aload 6")
 		case k == 5:
 			emit("aconst_null")
+		case k == 10:
+			emit("getstatic r/Main.sr Lr/R;")
 		case k < 8:
 			genObj(d - 1)
 			emit("getfield r/R.next Lr/R;")
@@ -404,11 +410,13 @@ func genStatements(rng *rand.Rand) string {
 	binops := []string{"iadd", "isub", "imul", "iand", "ior", "ixor", "ishl", "ishr", "iushr",
 		"idiv", "irem", "dadd", "dsub", "dmul", "ddiv", "dcmp"}
 	genInt = func(d int) {
-		k := rng.Intn(12)
+		k := rng.Intn(13)
 		if d == 0 {
 			k = rng.Intn(4)
 		}
 		switch k {
+		case 12:
+			emit([]string{"getstatic r/Main.si I", "getstatic r/Main.sd D"}[rng.Intn(2)])
 		case 0:
 			emit("iconst %d", rng.Intn(13)-3)
 		case 1:
@@ -482,9 +490,9 @@ func genStatements(rng *rand.Rand) string {
 	for i := 0; i < segs; i++ {
 		fmt.Fprintf(&b, "%s:", label(i))
 		d := 1 + rng.Intn(3)
-		kind := rng.Intn(14)
+		kind := rng.Intn(18)
 		if loop > 0 && rng.Intn(16) > 0 {
-			kind = rng.Intn(5) // the kinds a loop statement can hold
+			kind = rng.Intn(7) // the kinds a loop statement can hold
 		}
 		switch kind {
 		case 0:
@@ -506,38 +514,54 @@ func genStatements(rng *rand.Rand) string {
 			genInt(d)
 			emit("putfield r/R.x I")
 		case 5:
+			genObj(d)
+			emit("dup")
+			emit("invokespecial r/R.<init> ()V")
+			emit("astore 6")
+		case 6:
+			genInt(d)
+			emit([]string{"putstatic r/Main.si I", "putstatic r/Main.sd D"}[rng.Intn(2)])
+		case 7:
 			genInt(d)
 			emit("if%s %s", conds[rng.Intn(6)], later(i))
-		case 6:
+		case 8:
 			genInt(d)
 			genInt(d)
 			emit("if_icmp%s %s", conds[rng.Intn(6)], later(i))
-		case 7:
+		case 9:
 			genObj(d)
 			emit("%s %s", []string{"ifnull", "ifnonnull"}[rng.Intn(2)], later(i))
-		case 8:
+		case 10:
 			genObj(d)
 			genObj(d)
 			emit("%s %s", []string{"if_acmpeq", "if_acmpne"}[rng.Intn(2)], later(i))
-		case 9:
+		case 11:
 			emit("iinc %d %d", rng.Intn(4), rng.Intn(9)-4)
 			emit("goto %s", label(i+1))
-		case 10:
+		case 12:
 			genInt(d)
 			genInt(d)
 			emit("pop")
 			emit("pop")
-		case 11:
+		case 13:
 			genInt(d)
 			emit("dup")
 			emit([]string{"iadd", "imul", "ixor", "isub"}[rng.Intn(4)])
 			emit("istore %d", rng.Intn(4))
-		case 12:
+		case 14:
 			genInt(d)
 			genInt(d)
 			emit("swap")
 			emit("isub")
 			emit("istore %d", rng.Intn(4))
+		case 16:
+			emit("new r/R")
+			emit("dup")
+			emit("invokespecial r/R.<init> ()V")
+			emit([]string{"astore 6", "putstatic r/Main.sr Lr/R;"}[rng.Intn(2)])
+		case 17:
+			genObj(d)
+			emit("putstatic r/Main.sr Lr/R;")
 		default:
 			genInt(d)
 			emit("istore %d", rng.Intn(4))
@@ -555,6 +579,10 @@ func genStatements(rng *rand.Rand) string {
 		emit("iload %d", i)
 		emit("ixor")
 	}
+	emit("getstatic r/Main.si I")
+	emit("ixor")
+	emit("getstatic r/Main.sd D")
+	emit("ixor")
 	emit("aload 5")
 	emit("ifnull DONE")
 	emit("aload 5")

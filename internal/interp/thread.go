@@ -57,7 +57,6 @@ type Frame struct {
 func (f *Frame) push(s Slot) { f.Stack[f.SP] = s; f.SP++ }
 func (f *Frame) pop() Slot   { f.SP--; return f.Stack[f.SP] }
 func (f *Frame) top() *Slot  { return &f.Stack[f.SP-1] }
-func (f *Frame) clearAbove() { clear(f.Stack[f.SP:]) }
 
 // forgetMonitor forgets the most recent MONITORENTER of o in this frame.
 func (f *Frame) forgetMonitor(o *object.Object) {
@@ -268,7 +267,9 @@ func (t *Thread) PushFrame(m *object.Method, args []Slot) error {
 
 // popFrame pops the top frame: it releases the monitors the frame still
 // holds and clears it, so a pooled frame references nothing and the
-// thread's roots stay exactly its live frames.
+// thread's roots stay exactly its live frames. It is the one place a
+// frame's slots are cleared: a slot above SP may hold a stale value until
+// then, which Roots never reads (DESIGN.md §15).
 func (t *Thread) popFrame() {
 	n := len(t.Frames) - 1
 	f := t.Frames[n]
@@ -276,8 +277,7 @@ func (t *Thread) popFrame() {
 		releaseMonitor(t, f.Monitors[i])
 	}
 	clear(f.Monitors)
-	clear(f.Locals)
-	clear(f.Stack)
+	clear(f.slots[:len(f.Locals)+len(f.Stack)])
 	// Field by field, not *f = Frame{...}: a whole-struct store is a bulk
 	// copy with a bulk write barrier on every return.
 	f.M, f.body = nil, nil

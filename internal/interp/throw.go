@@ -61,7 +61,6 @@ func (t *Thread) raise(obj *object.Object) (StepResult, bool) {
 				continue
 			}
 			f.SP = 0
-			f.clearAbove()
 			f.push(RefSlot(obj))
 			f.PC = h.PC
 			_ = backtrace

@@ -106,6 +106,10 @@ type Method struct {
 	// Compiled is the optimizing engine's compiled body, published once
 	// and read without a lock; its concrete type belongs to the engine.
 	Compiled atomic.Value
+	// Ctor caches the optimizing engine's analysis of the method as a
+	// trivial constructor, worked out once from this method's own Links
+	// (0 until then); its encoding belongs to the engine.
+	Ctor atomic.Int64
 }
 
 // Linked is the resolved form of one constant pool entry.

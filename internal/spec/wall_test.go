@@ -73,14 +73,19 @@ var pinnedCost = map[string]simCost{
 }
 
 // holdSrc keeps a process alive after its workload thread finishes, so the
-// wall can read final heap state before reclamation. The daemon spinner
-// allocates nothing and is never compared.
+// wall can read final heap state before reclamation. The daemon sleeps on
+// the virtual clock, so it takes no quantum from the workload: a spinning
+// daemon would double every run's host time, and under the race detector
+// push the package past its test timeout. It allocates nothing and is
+// never compared.
 const holdSrc = `
 .class diff/Hold
 .method spin ()V static
 .locals 0
 .stack 1
-L0:	goto L0
+L0:	ldc 2000000000
+	invokestatic java/lang/Thread.sleep (I)V
+	goto L0
 .end
 .end`
 
