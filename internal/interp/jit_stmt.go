@@ -152,17 +152,35 @@ type Coverage struct {
 	Loops, Ctors, Statics int
 }
 
-// CoverageOf compiles m afresh and reports what its statement table holds.
-func CoverageOf(m *object.Method) Coverage {
-	_, cover := compileStatements(m)
-	return cover
+// CoverageOf compiles m afresh and reports what its statement table holds,
+// by walking the instructions each statement covers.
+func CoverageOf(m *object.Method) (c Coverage) {
+	ops, ends := compileStatements(m)
+	for pc, op := range ops {
+		if op.stmt == nil {
+			continue
+		}
+		if op.loop != nil {
+			c.Loops++
+		}
+		for _, in := range m.Code.Instrs[pc:ends[pc]] {
+			switch in.Op {
+			case bytecode.GETSTATIC, bytecode.PUTSTATIC:
+				c.Statics++
+			case bytecode.INVOKESPECIAL:
+				c.Ctors++ // only a constructor statement holds a call
+			}
+		}
+	}
+	return c
 }
 
 // compileStatements builds a method's statement table. A statement never
 // spans a branch target or handler entry, so control enters one only at
 // its head; every other pc runs through the interpreter's arm, which is
-// also where a retried or resumed execution continues.
-func compileStatements(m *object.Method) ([]stmtOp, Coverage) {
+// also where a retried or resumed execution continues. ends[pc] is the pc
+// after the statement headed at pc.
+func compileStatements(m *object.Method) ([]stmtOp, []int) {
 	code := m.Code
 	n := len(code.Instrs)
 	ops := make([]stmtOp, n)
@@ -177,7 +195,6 @@ func compileStatements(m *object.Method) ([]stmtOp, Coverage) {
 			b.target[h.PC] = true
 		}
 	}
-	var cover Coverage
 	ends := make([]int, n)
 	for pc := 0; pc < n; {
 		st, end, cost := b.build(pc)
@@ -187,24 +204,14 @@ func compileStatements(m *object.Method) ([]stmtOp, Coverage) {
 		}
 		ops[pc] = stmtOp{stmt: st, scost: cost}
 		ends[pc] = end
-		for _, in := range code.Instrs[pc:end] {
-			switch in.Op {
-			case bytecode.GETSTATIC, bytecode.PUTSTATIC:
-				cover.Statics++
-			case bytecode.INVOKESPECIAL:
-				cover.Ctors++ // only a constructor statement holds a call
-			}
-		}
 		pc = end
 	}
 	for h := range ops {
 		if ops[h].stmt != nil {
-			if ops[h].loop, ops[h].iter = b.loop(ops, ends, h); ops[h].loop != nil {
-				cover.Loops++
-			}
+			ops[h].loop, ops[h].iter = b.loop(ops, ends, h)
 		}
 	}
-	return ops, cover
+	return ops, ends
 }
 
 // build compiles the statement starting at s: its closure, the pc after
@@ -440,22 +447,6 @@ func (b *stmtBuilder) materialize(end int) closure {
 			}
 			f.SP -= used
 			f.push(s)
-			f.PC = end
-			return ctlNext
-		}
-	}
-	if len(b.stack) == 2 {
-		// The common case: a call's receiver and argument, or an array
-		// and index, left for the arm that consumes them.
-		v0, v1 := b.stack[0].slot(), b.stack[1].slot()
-		return func(t *Thread, f *Frame) control {
-			s0, s1 := v0(t, f), v1(t, f)
-			if failed(t) {
-				return ctlRetry
-			}
-			f.SP -= used
-			f.Stack[f.SP], f.Stack[f.SP+1] = s0, s1
-			f.SP += 2
 			f.PC = end
 			return ctlNext
 		}
