@@ -7,7 +7,6 @@ package repro
 //	BenchmarkFig3/...        Figure 3  — workloads across platforms (wall time)
 //	BenchmarkTable1Counts    Table 1   — barriers executed per workload
 //	BenchmarkBarrierMicro/.. §4.1      — cost of one barrier check
-//	BenchmarkFig4Simulation  Figure 4  — servlet scaling curves (fluid model)
 //	BenchmarkAblation*                 — exception dispatch, locking,
 //	                                     GC separation, engines, memlimits,
 //	                                     stack-scan crosstalk
@@ -30,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/interp"
-	"repro/internal/jserv"
 	"repro/internal/memlimit"
 	"repro/internal/object"
 	"repro/internal/spec"
@@ -111,17 +109,6 @@ func BenchmarkBarrierMicro(b *testing.B) {
 			}
 			b.ReportMetric(float64(bar.CheckCost()), "model-cycles")
 		})
-	}
-}
-
-// BenchmarkFig4Simulation regenerates all six Figure 4 curves.
-func BenchmarkFig4Simulation(b *testing.B) {
-	p := jserv.DefaultParams()
-	for i := 0; i < b.N; i++ {
-		curves := jserv.Figure4(p)
-		if len(curves) != 6 {
-			b.Fatal("missing curves")
-		}
 	}
 }
 

@@ -23,7 +23,7 @@ func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "TCP listen address")
 	routes := fs.String("routes", "/zone0,/zone1,/zone2,/memhog:hog:1024",
-		"route spec: path[:hog|servlet|warm|wide][:template][:lazy][:memKiB][:norestart], comma-separated")
+		"route spec: path[:hog|servlet|warm|wide|dispatch][:template][:lazy][:memKiB][:norestart], comma-separated")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"engine shards, one VM per shard (default GOMAXPROCS); tenants spread least-loaded")
 	work := fs.Int("work", 100, "per-request servlet work units")

@@ -369,9 +369,8 @@ func overcommit(budget, requests uint64, clients, shards int, controller bool) (
 
 // abOptions are the command-line knobs the experiments read.
 type abOptions struct {
-	trials, shards, clients    int
-	requests, memBudget        uint64
-	coldstartMin, codecacheMin float64
+	trials, shards, clients int
+	requests, memBudget     uint64
 }
 
 // abExperiments is the table behind the -coldstart, -codecache and
@@ -379,9 +378,9 @@ type abOptions struct {
 func abExperiments(o abOptions) []abExperiment {
 	jit := core.Config{Engine: core.EngineJITOpt}
 	cached := core.Config{Engine: core.EngineJITOpt, CodeCache: true}
-	warm := serve.TenantConfig{Warm: true, WorkUnits: 10}
-	forked := serve.TenantConfig{Warm: true, WorkUnits: 10, Template: true}
-	wide := serve.TenantConfig{Wide: true, MemKB: 8192, WorkUnits: 10}
+	warm := serve.TenantConfig{Program: serve.Warm, WorkUnits: 10}
+	forked := serve.TenantConfig{Program: serve.Warm, WorkUnits: 10, Template: true}
+	wide := serve.TenantConfig{Program: serve.Wide, MemKB: 8192, WorkUnits: 10}
 	fromZero := func(vmCfg core.Config, shape serve.TenantConfig) armFunc {
 		return func() ([]int64, map[string]float64, error) {
 			return scaleFromZero(vmCfg, o.shards, o.trials, shape)
@@ -402,7 +401,7 @@ func abExperiments(o abOptions) []abExperiment {
 			{"init (clinit warmup)", fromZero(jit, warm)},
 			{"fork (zygote template)", fromZero(jit, forked)},
 		},
-		minRatio: o.coldstartMin,
+		minRatio: 10,
 	}, {
 		// The same compile-heavy servlet fleet (no clinit, so process
 		// construction is dominated by JIT compilation) with private
@@ -414,7 +413,7 @@ func abExperiments(o abOptions) []abExperiment {
 			{"private (compile per proc)", fromZero(jit, wide)},
 			{"shared (codecache attach)", fromZero(cached, wide)},
 		},
-		minRatio: o.codecacheMin,
+		minRatio: 3,
 	}, {
 		// The same overcommitted fleet under the same global budget. The
 		// latency ratio is reported, not gated: the controller must win

@@ -199,9 +199,7 @@ func (vm *VM) kernelNatives() (map[string]any, map[string]bool) {
 		res := vm.CollectKernel()
 		t.Fuel -= int64(res.Cycles)
 		t.Cycles += res.Cycles
-		if vm.Tel != nil {
-			vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
-		}
+		vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
 		return interp.Slot{}, nil
 	})
 

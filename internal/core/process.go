@@ -180,14 +180,12 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	}
 	p.state.Store(uint32(ProcRunning))
 	p.gcTrigger.Store(gcMinHeap)
-	if vm.Tel != nil {
-		scope := vm.Tel.Reg.Proc(int32(pid))
-		p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
-		p.ctrIO = scope.Counter(telemetry.MIOBytes)
-		p.ctrGCCharged = scope.Counter(telemetry.MGCCharged)
-		p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
-		scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
-	}
+	scope := vm.Tel.Reg.Proc(int32(pid))
+	p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
+	p.ctrIO = scope.Counter(telemetry.MIOBytes)
+	p.ctrGCCharged = scope.Counter(telemetry.MGCCharged)
+	p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
+	scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
 	// The process object itself is large and lives on the *new* heap; the
 	// kernel keeps only the small process-table entry (§2, "Precise memory
 	// and CPU accounting").
@@ -232,9 +230,7 @@ func (p *Process) releaseEarly() {
 // emit forwards a lifecycle event, stamped with this process' pid, to the
 // VM's telemetry hub.
 func (p *Process) emit(k telemetry.Kind, a, b uint64, detail string) {
-	if p.VM != nil && p.VM.Tel != nil {
-		p.VM.Tel.Emit(telemetry.Event{Kind: k, Pid: int32(p.ID), A: a, B: b, Detail: detail})
-	}
+	p.VM.Tel.Emit(telemetry.Event{Kind: k, Pid: int32(p.ID), A: a, B: b, Detail: detail})
 }
 
 // TelemetryPid lets layers that hold the process as an opaque owner
@@ -265,9 +261,7 @@ func (p *Process) CPUCycles() uint64 { return p.cpuCycles.Load() }
 // chargeCPU adds cycles to the process' CPU account and telemetry.
 func (p *Process) chargeCPU(cycles uint64) {
 	p.cpuCycles.Add(cycles)
-	if p.ctrCPU != nil {
-		p.ctrCPU.Add(cycles)
-	}
+	p.ctrCPU.Add(cycles)
 }
 
 // IOBytes reports the bytes the process has written to its output stream.
@@ -283,9 +277,7 @@ type accountedWriter struct {
 
 func (w *accountedWriter) Write(b []byte) (int, error) {
 	total := w.p.ioBytes.Add(uint64(len(b)))
-	if w.p.ctrIO != nil {
-		w.p.ctrIO.Add(uint64(len(b)))
-	}
+	w.p.ctrIO.Add(uint64(len(b)))
 	if w.p.ioLimit > 0 && total > w.p.ioLimit && w.p.State() == ProcRunning {
 		w.p.Kill(ErrIOLimit)
 		return len(b), nil // the write that crossed the line is dropped downstream
@@ -625,9 +617,7 @@ func (p *Process) Collect() heap.GCResult {
 	res := p.Heap.Collect(p.gcRoots())
 	p.resetGCTrigger()
 	p.chargeCPU(res.Cycles)
-	if p.ctrGCCharged != nil {
-		p.ctrGCCharged.Add(res.Cycles)
-	}
+	p.ctrGCCharged.Add(res.Cycles)
 	return res
 }
 

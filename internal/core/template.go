@@ -128,9 +128,7 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 		vm.SharedMgr.DetachAll(t)
 		_ = t.Heap.Destroy()
 		lim.Release()
-		if vm.Tel != nil {
-			vm.Tel.Reg.Kernel().Counter(telemetry.MForkFailures).Inc()
-		}
+		vm.Tel.Reg.Kernel().Counter(telemetry.MForkFailures).Inc()
 		return nil, err
 	}
 
@@ -179,18 +177,16 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 	ntmpl := len(vm.templates)
 	vm.mu.Unlock()
 
-	if vm.Tel != nil {
-		scope := vm.Tel.Reg.Proc(int32(pid))
-		scope.SetMeta("state", "template")
-		scope.Gauge(telemetry.MMemLimit).Set(lim.Max())
-		k := vm.Tel.Reg.Kernel()
-		k.Counter(telemetry.MForkCheckpoints).Inc()
-		k.Gauge(telemetry.MForkTemplates).Set(uint64(ntmpl))
-		vm.Tel.Emit(telemetry.Event{
-			Kind: telemetry.EvCheckpoint, Pid: int32(pid),
-			A: t.Heap.Bytes(), B: uint64(len(copies)), Detail: name,
-		})
-	}
+	scope := vm.Tel.Reg.Proc(int32(pid))
+	scope.SetMeta("state", "template")
+	scope.Gauge(telemetry.MMemLimit).Set(lim.Max())
+	k := vm.Tel.Reg.Kernel()
+	k.Counter(telemetry.MForkCheckpoints).Inc()
+	k.Gauge(telemetry.MForkTemplates).Set(uint64(ntmpl))
+	vm.Tel.Emit(telemetry.Event{
+		Kind: telemetry.EvCheckpoint, Pid: int32(pid),
+		A: t.Heap.Bytes(), B: uint64(len(copies)), Detail: name,
+	})
 	return t, nil
 }
 
@@ -239,14 +235,12 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	}
 	p.state.Store(uint32(ProcRunning))
 	p.gcTrigger.Store(gcMinHeap)
-	if vm.Tel != nil {
-		scope := vm.Tel.Reg.Proc(int32(pid))
-		p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
-		p.ctrIO = scope.Counter(telemetry.MIOBytes)
-		p.ctrGCCharged = scope.Counter(telemetry.MGCCharged)
-		p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
-		scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
-	}
+	scope := vm.Tel.Reg.Proc(int32(pid))
+	p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
+	p.ctrIO = scope.Counter(telemetry.MIOBytes)
+	p.ctrGCCharged = scope.Counter(telemetry.MGCCharged)
+	p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
+	scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
 	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
@@ -259,9 +253,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 		p.reclaiming.Store(true)
 		p.state.Store(uint32(ProcReclaimed))
 		p.emit(telemetry.EvProcReclaim, 0, 0, "fork failed")
-		if vm.Tel != nil {
-			vm.Tel.Reg.Kernel().Counter(telemetry.MForkFailures).Inc()
-		}
+		vm.Tel.Reg.Kernel().Counter(telemetry.MForkFailures).Inc()
 		return nil, err
 	}
 
@@ -329,15 +321,13 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	vm.mu.Unlock()
 
 	copied := p.Heap.Bytes()
-	if vm.Tel != nil {
-		k := vm.Tel.Reg.Kernel()
-		k.Counter(telemetry.MForks).Inc()
-		k.Counter(telemetry.MForkBytes).Add(copied)
-		vm.Tel.Emit(telemetry.Event{
-			Kind: telemetry.EvFork, Pid: int32(pid),
-			A: copied, B: uint64(t.ID), Detail: name,
-		})
-	}
+	k := vm.Tel.Reg.Kernel()
+	k.Counter(telemetry.MForks).Inc()
+	k.Counter(telemetry.MForkBytes).Add(copied)
+	vm.Tel.Emit(telemetry.Event{
+		Kind: telemetry.EvFork, Pid: int32(pid),
+		A: copied, B: uint64(t.ID), Detail: name,
+	})
 	return p, nil
 }
 
@@ -362,10 +352,8 @@ func (t *Template) Release() error {
 	delete(vm.templates, t.ID)
 	ntmpl := len(vm.templates)
 	vm.mu.Unlock()
-	if vm.Tel != nil {
-		vm.Tel.Reg.Kernel().Gauge(telemetry.MForkTemplates).Set(uint64(ntmpl))
-		vm.Tel.Reg.Proc(int32(t.ID)).SetMeta("state", "released")
-	}
+	vm.Tel.Reg.Kernel().Gauge(telemetry.MForkTemplates).Set(uint64(ntmpl))
+	vm.Tel.Reg.Proc(int32(t.ID)).SetMeta("state", "released")
 	return nil
 }
 

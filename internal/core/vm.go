@@ -320,9 +320,7 @@ func NewVM(cfg Config) (*VM, error) {
 			// mutators are quiescent; the cycles are charged to the
 			// process through the normal path.
 			if p.State() == ProcRunning && p.Heap.Bytes() > p.gcTrigger.Load() {
-				if p.ctrGCAdaptive != nil {
-					p.ctrGCAdaptive.Inc()
-				}
+				p.ctrGCAdaptive.Inc()
 				vm.collectHeapFor(t, p.Heap)
 			}
 		}
@@ -512,9 +510,9 @@ func (vm *VM) collectHeapFor(t *interp.Thread, h *heap.Heap) {
 		// Record who paid: the gc.charged counter of the collected heap's
 		// scope must, in a complete accounting, equal the gc.cycles the
 		// pause histogram saw (asserted by TestGCAccountingComplete).
-		if owner, ok := h.Owner.(*Process); ok && owner.ctrGCCharged != nil {
+		if owner, ok := h.Owner.(*Process); ok {
 			owner.ctrGCCharged.Add(res.Cycles)
-		} else if vm.Tel != nil {
+		} else {
 			vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
 		}
 	}
@@ -558,9 +556,7 @@ func (vm *VM) CollectAll() []heap.GCResult {
 	for i, p := range procs {
 		res := results[i]
 		p.chargeCPU(res.Cycles)
-		if p.ctrGCCharged != nil {
-			p.ctrGCCharged.Add(res.Cycles)
-		}
+		p.ctrGCCharged.Add(res.Cycles)
 		p.resetGCTrigger()
 		vm.reconcileShared(p)
 	}
@@ -598,9 +594,7 @@ func (vm *VM) Rebalance() []membal.Applied {
 	for _, a := range applied {
 		p := byPid[a.ID]
 		p.setControlledTrigger(a.Trigger)
-		if vm.Tel != nil {
-			vm.Tel.Reg.Proc(a.ID).Gauge(telemetry.MMemLimit).Set(a.Max)
-		}
+		vm.Tel.Reg.Proc(a.ID).Gauge(telemetry.MMemLimit).Set(a.Max)
 	}
 	// Kernel memory pressure evicts orphaned code artifacts: when the
 	// processes' live bytes plus the cache's residency overrun the

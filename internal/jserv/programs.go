@@ -19,15 +19,20 @@ import (
 // NetHandleKey is the method key every request-driven servlet exports.
 const NetHandleKey = "handle([II)I"
 
-// NetServletClass / NetHogClass / NetWarmClass / KeeperClass name the
-// entry classes.
+// NetServletClass / NetHogClass / NetWarmClass / NetWideClass /
+// NetDispatchClass / KeeperClass name the entry classes.
 const (
-	NetServletClass = "jserv/NetServlet"
-	NetHogClass     = "jserv/NetHog"
-	NetWarmClass    = "jserv/NetWarm"
-	NetWideClass    = "jserv/NetWide"
-	KeeperClass     = "jserv/Keeper"
+	NetServletClass  = "jserv/NetServlet"
+	NetHogClass      = "jserv/NetHog"
+	NetWarmClass     = "jserv/NetWarm"
+	NetWideClass     = "jserv/NetWide"
+	NetDispatchClass = "jserv/NetDispatch"
+	KeeperClass      = "jserv/Keeper"
 )
+
+// HogRequest is the first body byte that sends a NetDispatch request to
+// the MemHog body; any other body is servlet work.
+const HogRequest = 'h'
 
 // netServletSource is the well-behaved request handler: fold the request
 // array into a checksum, burn the configured work units, allocate a
@@ -110,6 +115,40 @@ HAVE:	getstatic jserv/NetHog.keep Ljava/util/Vector;
 	invokevirtual java/util/Vector.add (Ljava/lang/Object;)V
 	aload 0
 	arraylength
+	ireturn
+.end
+.end`
+
+// netDispatchSource is the IBM/n deployment of Figure 4 as one program:
+// every servlet and the MemHog share one process, and the request body
+// picks which body runs. The marshalled array's element 1 holds the first
+// body bytes, so a body starting with HogRequest is hog work. The hog's
+// OutOfMemoryError is then uncaught in the one process all servlets live
+// in, and the kernel kills them together.
+const netDispatchSource = `
+.class jserv/NetDispatch
+.method handle ([II)I static
+.locals 2
+.stack 3
+	aload 0
+	arraylength
+	iconst 2
+	if_icmplt SERVLET
+	aload 0
+	iconst 1
+	iaload
+	ldc 255
+	iand
+# 104 is HogRequest, 'h'
+	ldc 104
+	if_icmpne SERVLET
+	aload 0
+	iload 1
+	invokestatic jserv/NetHog.handle ([II)I
+	ireturn
+SERVLET:	aload 0
+	iload 1
+	invokestatic jserv/NetServlet.handle ([II)I
 	ireturn
 .end
 .end`
@@ -293,6 +332,12 @@ func NetServletModule() *bytecode.Module { return bytecode.MustAssemble(netServl
 
 // NetHogModule returns the request-driven MemHog program.
 func NetHogModule() *bytecode.Module { return bytecode.MustAssemble(netHogSource) }
+
+// NetDispatchModule returns the shared-process program: NetDispatch with
+// the NetServlet and NetHog bodies it calls, in one module.
+func NetDispatchModule() *bytecode.Module {
+	return bytecode.MustAssemble(netDispatchSource + netServletSource + netHogSource)
+}
 
 // NetWarmModule returns the expensive-startup servlet: a <clinit> warm
 // table whose construction dominates cold start, built for the

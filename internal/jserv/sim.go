@@ -5,23 +5,21 @@
 //
 // Two layers:
 //
-//   - A fluid discrete-event simulation (this file) of the paper's testbed
-//     — Apache+JServ on a 500 MHz Pentium III with 256 MB of RAM — that
-//     regenerates all six curves of Figure 4 across 1..80 servlets. The
-//     paper's hardware/software stack (IBM JDK, Linux paging behaviour)
-//     cannot be run here, so the host is modelled: fixed per-JVM memory
-//     footprints, paging slowdown once committed memory exceeds RAM,
-//     restart costs after a crash, and CPU shared equally among runnable
-//     entities. Each model's *policy* — who dies on OOM, what must restart
-//     — is exactly the paper's.
-//
 //   - The request-driven servlet programs (programs.go) the serving plane
-//     (internal/serve) loads into its tenant processes: actual processes
-//     with memlimits, an actual MemHog killed by its limit, and actual
-//     unaffected neighbours. Driving the plane — `servbench -real` in
-//     process, the BENCHMARK.json serve_hostile workload over a socket —
-//     demonstrates on the real system the property the simulation
-//     quantifies at scale.
+//     (internal/serve) loads into its tenant processes. `servbench`
+//     measures four of Figure 4's curves with them: KaffeOS and
+//     KaffeOS,MemHog run one process per servlet beside a MemHog killed
+//     by its own memlimit; IBM/n and IBM/n,MemHog run every servlet, and
+//     the hog, in one NetDispatch process that the hog's
+//     OutOfMemoryError takes down whole.
+//
+//   - A fluid model (this file) of the one deployment that cannot be run
+//     here: IBM/1, one JVM per servlet on the paper's 256 MB Pentium III.
+//     Its curve is about host paging once the JVMs' footprints exceed
+//     RAM, which measuring would mean creating real memory pressure on
+//     the host. The per-request service time is an input — servbench
+//     passes the measured IBM/n time at one servlet — and the testbed's
+//     hardware is a handful of constants.
 package jserv
 
 import (
@@ -29,357 +27,100 @@ import (
 	"math"
 )
 
-// Mode is a deployment model from Figure 4.
-type Mode string
-
+// The modelled testbed. Times in seconds, memory in MB.
 const (
-	// ModeKaffeOS runs every servlet in its own KaffeOS process inside
-	// one VM.
-	ModeKaffeOS Mode = "KaffeOS"
-	// ModeIBM1 runs one JVM per servlet ("IBM/1").
-	ModeIBM1 Mode = "IBM/1"
-	// ModeIBMn runs all servlets in a single JVM ("IBM/n").
-	ModeIBMn Mode = "IBM/n"
+	ramMB         = 256 // physical memory of the paper's machine
+	jvmBaseMB     = 2   // one JVM's footprint at startup
+	servletHeapMB = 6   // a dedicated JVM's servlet heap, growing toward its cap
+	heapCapMB     = 8   // per-JVM heap limit (8 MB in the paper)
+	hogFillMBps   = 50  // MemHog allocation rate on a full CPU
+	jvmRestartSec = 8   // exec + JIT warmup + JServ redeploy of one JVM
+	// pagingSlope shapes the thrash knee: once committed memory exceeds
+	// RAM, effective CPU speed divides by 1 + slope*(committed/RAM - 1)^2.
+	// An attempt to start 100 JVMs "rendered the machine inoperable".
+	pagingSlope = 2
+	// RequestsPerServlet is the quota each well-behaved servlet answers
+	// (Figure 4's y axis is the time until all have).
+	RequestsPerServlet = 1000
 )
 
-// Params model the paper's testbed. All times in seconds, memory in MB.
-type Params struct {
-	RAMMB float64 // physical memory (256 MB in the paper)
+// Figure4Points is the servlet-count sweep of Figure 4.
+func Figure4Points() []int { return []int{1, 5, 10, 20, 40, 80} }
 
-	// Per-request CPU service time. KaffeOS is "several times slower for
-	// individual servlets" than the IBM JVM.
-	IBMServiceSec     float64
-	KaffeOSServiceSec float64
-
-	// Requests each well-behaved servlet must answer (1000 in the figure).
-	RequestsPerServlet int
-
-	// Memory model.
-	JVMBaseMB        float64 // per-JVM footprint at startup (~2 MB)
-	IBM1ServletMB    float64 // steady-state heap use of a dedicated JVM's servlet
-	IBMnServletMB    float64 // working set per servlet inside the shared JVM
-	ServletWorkMB    float64 // working set per servlet (KaffeOS processes)
-	HeapCapMB        float64 // per-JVM heap limit (8 MB in the paper)
-	KaffeOSVMBaseMB  float64 // the single KaffeOS VM's footprint
-	KaffeOSProcMB    float64 // per-process overhead in KaffeOS
-	KaffeOSProcCapMB float64 // per-process memlimit
-
-	// MemHog allocates at this rate while scheduled on a full CPU.
-	HogAllocMBPerSec float64
-
-	// Restart costs.
-	JVMRestartSec     float64 // exec + JIT warmup for one JVM
-	ServletReloadSec  float64 // per servlet reloaded into a restarted JVM
-	KaffeOSRestartSec float64 // restart one KaffeOS process
-
-	// Paging: once committed memory exceeds RAM, effective CPU speed
-	// divides by 1 + PagingSlope * (committed/RAM - 1)^2 — a standard
-	// thrash knee. An attempt to start 100 JVMs "rendered the machine
-	// inoperable".
-	PagingSlope float64
-
-	// KaffeOS's user-mode threading shows "a slight service degradation as
-	// the number of processes increases"; modelled as a per-process
-	// scheduling overhead fraction.
-	KaffeOSSchedOverhead float64
-}
-
-// DefaultParams returns the calibration used for EXPERIMENTS.md.
-func DefaultParams() Params {
-	return Params{
-		RAMMB:                256,
-		IBMServiceSec:        0.004, // 4 ms/request on the IBM JVM
-		KaffeOSServiceSec:    0.016, // 4x slower, per §4.2
-		RequestsPerServlet:   1000,
-		JVMBaseMB:            2,
-		IBM1ServletMB:        6, // a dedicated JVM's heap grows toward its 8 MB cap
-		IBMnServletMB:        0.05,
-		ServletWorkMB:        0.5,
-		HeapCapMB:            8,
-		KaffeOSVMBaseMB:      4,
-		KaffeOSProcMB:        0.5,
-		KaffeOSProcCapMB:     8,
-		HogAllocMBPerSec:     50, // MemHog allocates as fast as the CPU allows
-		JVMRestartSec:        8,  // JVM exec + JServ redeploy + Apache reconnect
-		ServletReloadSec:     0.05,
-		KaffeOSRestartSec:    0.05,
-		PagingSlope:          2,
-		KaffeOSSchedOverhead: 0.002,
-	}
-}
-
-// Config is one point of Figure 4.
-type Config struct {
-	Mode     Mode
-	Servlets int // number of well-behaved servlets
-	MemHog   bool
-}
-
-// Outcome summarizes one simulated run.
+// Outcome summarizes one modelled IBM/1 run.
 type Outcome struct {
-	Config Config
-	// Seconds until every well-behaved servlet answered its quota — the
-	// figure's y axis.
+	Servlets int
+	MemHog   bool
+	// Seconds until every well-behaved servlet answered its quota.
 	Seconds float64
-	// Crashes counts JVM or process deaths caused by the MemHog.
+	// Crashes counts the hog JVM's OutOfMemoryError deaths.
 	Crashes int
 	// ThrashFactor is the worst paging slowdown observed.
 	ThrashFactor float64
 }
 
-// state of the fluid simulation.
-type simState struct {
-	p   Params
-	cfg Config
-
-	now       float64
-	remaining []float64 // requests left per good servlet
-	idleAt    []bool
-
-	hogFillMB    float64
-	hogRestartAt float64 // hog (or its JVM) unavailable until this time
-	// jvmDownUntil > now models a restarting JVM; for IBM/n it stalls
-	// every servlet, for IBM/1 only the hog's own JVM matters (good
-	// servlets run their own JVMs).
-	jvmDownUntil float64
-
-	crashes   int
-	maxThrash float64
-}
-
-// Simulate runs the fluid model for one configuration.
-func Simulate(cfg Config, p Params) Outcome {
-	if cfg.Servlets < 1 {
-		panic("jserv: need at least one servlet")
-	}
-	st := &simState{p: p, cfg: cfg, maxThrash: 1}
-	st.remaining = make([]float64, cfg.Servlets)
-	for i := range st.remaining {
-		st.remaining[i] = float64(p.RequestsPerServlet)
-	}
-	const dtMax = 0.25 // max fluid step, seconds
-	for st.active() > 0 {
-		st.step(dtMax)
-		if st.now > 1e7 {
-			break // unreachable backstop
-		}
-	}
-	return Outcome{Config: cfg, Seconds: st.now, Crashes: st.crashes, ThrashFactor: st.maxThrash}
-}
-
-// active counts good servlets with work left.
-func (st *simState) active() int {
-	n := 0
-	for _, r := range st.remaining {
-		if r > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// committedMB computes committed memory for the current mode.
-func (st *simState) committedMB() float64 {
-	p, cfg := st.p, st.cfg
-	hog := 0.0
-	if cfg.MemHog && st.now >= st.hogRestartAt {
-		hog = st.hogFillMB
-	}
-	switch cfg.Mode {
-	case ModeIBM1:
-		jvms := float64(cfg.Servlets)
-		mem := jvms * (p.JVMBaseMB + p.IBM1ServletMB)
-		if cfg.MemHog {
-			mem += p.JVMBaseMB + hog
-		}
-		return mem
-	case ModeIBMn:
-		return p.JVMBaseMB + float64(cfg.Servlets)*p.IBMnServletMB + hog
-	default: // KaffeOS
-		return p.KaffeOSVMBaseMB + float64(cfg.Servlets)*(p.KaffeOSProcMB+p.ServletWorkMB) + hog
-	}
-}
-
-// thrash returns the current paging slowdown factor (>= 1).
-func (st *simState) thrash() float64 {
-	ratio := st.committedMB() / st.p.RAMMB
-	if ratio <= 1 {
-		return 1
-	}
-	f := 1 + st.p.PagingSlope*(ratio-1)*(ratio-1)
-	if f > st.maxThrash {
-		st.maxThrash = f
-	}
-	return f
-}
-
-// step advances the fluid model by at most dtMax seconds, stopping early
-// at the next discrete event (a servlet finishing, a hog OOM, a restart
-// completing).
-func (st *simState) step(dtMax float64) {
-	p, cfg := st.p, st.cfg
-
-	// Service availability.
-	jvmDown := st.now < st.jvmDownUntil
-	hogAlive := cfg.MemHog && st.now >= st.hogRestartAt && !jvmDown
-
-	good := st.active()
-	runnables := 0.0
-	if !((cfg.Mode == ModeIBMn) && jvmDown) {
-		runnables += float64(good)
-	}
-	if hogAlive {
-		runnables++
-	}
-	if runnables == 0 {
-		// Everything is stalled on a restart; jump to it.
-		wake := st.jvmDownUntil
-		if cfg.MemHog && st.hogRestartAt > st.now && (wake <= st.now || st.hogRestartAt < wake) {
-			wake = st.hogRestartAt
-		}
-		if wake <= st.now {
-			wake = st.now + dtMax
-		}
-		st.now = wake
-		return
-	}
-
-	thrash := st.thrash()
-	share := 1.0 / runnables
-
-	// Per-servlet request completion rate.
-	service := p.IBMServiceSec
-	if cfg.Mode == ModeKaffeOS {
-		service = p.KaffeOSServiceSec
-		service *= 1 + p.KaffeOSSchedOverhead*float64(cfg.Servlets)
-	}
-	rate := 0.0
-	if !(cfg.Mode == ModeIBMn && jvmDown) {
-		rate = share / (service * thrash)
-	}
-
-	// Candidate event horizons.
-	dt := dtMax
-	if rate > 0 {
-		minRem := math.Inf(1)
-		for _, r := range st.remaining {
-			if r > 0 && r < minRem {
-				minRem = r
-			}
-		}
-		if t := minRem / rate; t < dt {
-			dt = t
-		}
-	}
-	var hogOOM float64 = math.Inf(1)
-	if hogAlive {
-		cap := p.HeapCapMB
-		if cfg.Mode == ModeKaffeOS {
-			cap = p.KaffeOSProcCapMB
-		}
-		if cfg.Mode == ModeIBMn {
-			// The hog shares the heap with the servlets' working sets.
-			cap = math.Max(0.5, p.HeapCapMB-float64(cfg.Servlets)*p.IBMnServletMB)
-		}
-		fillRate := p.HogAllocMBPerSec * share / thrash
-		hogOOM = (cap - st.hogFillMB) / fillRate
-		if hogOOM < dt {
-			dt = hogOOM
-		}
-	}
-	if jvmDown {
-		if t := st.jvmDownUntil - st.now; t > 0 && t < dt {
-			dt = t
-		}
-	}
-	if cfg.MemHog && st.hogRestartAt > st.now {
-		if t := st.hogRestartAt - st.now; t < dt {
-			dt = t
-		}
-	}
-	if dt <= 0 {
-		dt = 1e-6
-	}
-
-	// Advance.
-	if rate > 0 {
-		for i := range st.remaining {
-			if st.remaining[i] > 0 {
-				st.remaining[i] -= rate * dt
-				if st.remaining[i] < 1e-9 {
-					st.remaining[i] = 0
-				}
-			}
-		}
-	}
-	if hogAlive {
-		fillRate := p.HogAllocMBPerSec * share / thrash
-		st.hogFillMB += fillRate * dt
-		cap := p.HeapCapMB
-		if cfg.Mode == ModeKaffeOS {
-			cap = p.KaffeOSProcCapMB
-		}
-		if cfg.Mode == ModeIBMn {
-			cap = math.Max(0.5, p.HeapCapMB-float64(cfg.Servlets)*p.IBMnServletMB)
-		}
-		if st.hogFillMB >= cap-1e-9 {
-			st.oom()
-		}
-	}
-	st.now += dt
-}
-
-// oom handles the MemHog exhausting its heap — the policy difference that
-// *is* Figure 4.
-func (st *simState) oom() {
-	p, cfg := st.p, st.cfg
-	st.crashes++
-	st.hogFillMB = 0
-	switch cfg.Mode {
-	case ModeKaffeOS:
-		// The kernel kills only the hog process; its heap merges into the
-		// kernel heap and is reclaimed. Other processes never notice.
-		st.hogRestartAt = st.now + p.KaffeOSRestartSec
-	case ModeIBM1:
-		// The hog's own JVM dies and is restarted by the administrator;
-		// other JVMs are isolated by the OS.
-		st.hogRestartAt = st.now + p.JVMRestartSec
-	case ModeIBMn:
-		// The shared JVM "runs out of memory in seemingly random places";
-		// the whole JVM crashes and every servlet must be reloaded.
-		down := p.JVMRestartSec + float64(cfg.Servlets)*p.ServletReloadSec
-		st.jvmDownUntil = st.now + down
-		st.hogRestartAt = st.jvmDownUntil
-	}
-}
-
-// Figure4Points is the servlet-count sweep reported in EXPERIMENTS.md.
-func Figure4Points() []int { return []int{1, 2, 5, 10, 20, 40, 60, 80} }
-
-// Figure4 computes all six curves.
-func Figure4(p Params) map[string][]Outcome {
-	curves := map[string][]Outcome{}
-	for _, mode := range []Mode{ModeIBM1, ModeIBMn, ModeKaffeOS} {
-		for _, hog := range []bool{false, true} {
-			key := string(mode)
-			if hog {
-				key += ",MemHog"
-			}
-			for _, n := range Figure4Points() {
-				out := Simulate(Config{Mode: mode, Servlets: n, MemHog: hog}, p)
-				curves[key] = append(curves[key], out)
-			}
-		}
-	}
-	return curves
-}
-
-// CurveOrder lists the curves in the paper's legend order.
-func CurveOrder() []string {
-	return []string{"IBM/1", "IBM/n", "KaffeOS", "IBM/1,MemHog", "IBM/n,MemHog", "KaffeOS,MemHog"}
-}
-
 func (o Outcome) String() string {
-	return fmt.Sprintf("%s n=%d hog=%v: %.1fs (%d crashes, thrash %.1fx)",
-		o.Config.Mode, o.Config.Servlets, o.Config.MemHog, o.Seconds, o.Crashes, o.ThrashFactor)
+	return fmt.Sprintf("IBM/1 n=%d hog=%v: %.1fs (%d crashes, thrash %.1fx)",
+		o.Servlets, o.MemHog, o.Seconds, o.Crashes, o.ThrashFactor)
+}
+
+// IBM1 models one point of the IBM/1 curves: servlets JVMs, one per
+// well-behaved servlet, plus with memHog one more JVM running the hog,
+// all sharing one CPU equally; serviceSec is one request's CPU time. The
+// hog's JVM dies when its heap hits the cap and restarts after
+// jvmRestartSec; the other JVMs are isolated from it by the OS and only
+// feel its CPU share and its memory.
+func IBM1(servlets int, memHog bool, serviceSec float64) Outcome {
+	if servlets < 1 || serviceSec <= 0 {
+		panic("jserv: need at least one servlet and a positive service time")
+	}
+	const dtMax = 0.25 // longest fluid step, seconds
+	var (
+		now, hogFill, hogUpAt float64
+		remaining             = float64(RequestsPerServlet)
+		out                   = Outcome{Servlets: servlets, MemHog: memHog, ThrashFactor: 1}
+	)
+	// Every good servlet starts together and runs at the same rate, so
+	// one remaining-work figure stands for all of them.
+	for remaining > 0 {
+		hogAlive := memHog && now >= hogUpAt
+		runnables := float64(servlets)
+		committed := runnables * (jvmBaseMB + servletHeapMB)
+		if memHog {
+			committed += jvmBaseMB
+		}
+		if hogAlive {
+			runnables++
+			committed += hogFill
+		}
+		thrash := 1.0
+		if ratio := committed / ramMB; ratio > 1 {
+			thrash = 1 + pagingSlope*(ratio-1)*(ratio-1)
+		}
+		out.ThrashFactor = math.Max(out.ThrashFactor, thrash)
+		share := 1 / runnables
+		rate := share / (serviceSec * thrash) // requests per second per servlet
+
+		dt := math.Min(dtMax, remaining/rate)
+		if hogAlive {
+			fill := hogFillMBps * share / thrash
+			if t := (heapCapMB - hogFill) / fill; t <= dt {
+				// The hog's heap fills inside this step: its JVM dies.
+				dt = t
+				hogFill, hogUpAt = 0, now+dt+jvmRestartSec
+				out.Crashes++
+			} else {
+				hogFill += fill * dt
+			}
+		} else if memHog && hogUpAt-now < dt {
+			dt = hogUpAt - now
+		}
+		remaining -= rate * dt
+		if remaining < 1e-9 {
+			remaining = 0
+		}
+		now += dt
+	}
+	out.Seconds = now
+	return out
 }

@@ -5,136 +5,70 @@ import (
 	"testing"
 )
 
+// service is the per-request time the tests model with: 4 ms.
+const service = 0.004
+
 func TestSimulateBaselines(t *testing.T) {
-	p := DefaultParams()
-	one := Simulate(Config{Mode: ModeIBM1, Servlets: 1}, p)
-	if one.Seconds <= 0 || math.IsInf(one.Seconds, 0) {
-		t.Fatalf("degenerate result %v", one)
+	one := IBM1(1, false, service)
+	// One servlet, 1000 requests at 4 ms: 4 seconds, no paging.
+	if math.Abs(one.Seconds-4) > 0.01 || one.ThrashFactor != 1 {
+		t.Errorf("IBM/1 n=1 = %v, want 4s unthrashed", one)
 	}
-	// One servlet, 1000 requests at 4 ms: about 4 seconds.
-	if one.Seconds < 3 || one.Seconds > 6 {
-		t.Errorf("IBM/1 n=1 = %.1fs, want ~4s", one.Seconds)
-	}
-	k := Simulate(Config{Mode: ModeKaffeOS, Servlets: 1}, p)
-	// KaffeOS is several times slower per request.
-	if k.Seconds < 3*one.Seconds {
-		t.Errorf("KaffeOS (%.1fs) should be several times slower than IBM (%.1fs) per servlet", k.Seconds, one.Seconds)
+	// The service time is the input the curve scales with.
+	if two := IBM1(1, false, 2*service); math.Abs(two.Seconds-2*one.Seconds) > 0.01 {
+		t.Errorf("doubling the service time gave %.2fs, want %.2fs", two.Seconds, 2*one.Seconds)
 	}
 }
 
 func TestScalingWithoutHog(t *testing.T) {
-	p := DefaultParams()
-	for _, mode := range []Mode{ModeIBM1, ModeIBMn, ModeKaffeOS} {
-		prev := 0.0
-		for _, n := range Figure4Points() {
-			out := Simulate(Config{Mode: mode, Servlets: n}, p)
-			if out.Seconds < prev {
-				t.Errorf("%s: time decreased from %.1f to %.1f at n=%d", mode, prev, out.Seconds, n)
-			}
-			prev = out.Seconds
+	prev := 0.0
+	for _, n := range Figure4Points() {
+		out := IBM1(n, false, service)
+		if out.Seconds < prev {
+			t.Errorf("time decreased from %.1f to %.1f at n=%d", prev, out.Seconds, n)
 		}
+		prev = out.Seconds
 	}
 }
 
 func TestIBM1ThrashesAtScale(t *testing.T) {
-	// "Starting multiple JVMs eventually causes the machine to thrash";
-	// IBM/1 must degrade super-linearly past the RAM knee while KaffeOS
-	// stays near-linear.
-	p := DefaultParams()
-	ibm80 := Simulate(Config{Mode: ModeIBM1, Servlets: 80}, p)
-	ibm10 := Simulate(Config{Mode: ModeIBM1, Servlets: 10}, p)
-	k80 := Simulate(Config{Mode: ModeKaffeOS, Servlets: 80}, p)
-	k10 := Simulate(Config{Mode: ModeKaffeOS, Servlets: 10}, p)
-
-	ibmGrowth := ibm80.Seconds / ibm10.Seconds
-	kGrowth := k80.Seconds / k10.Seconds
+	// "Starting multiple JVMs eventually causes the machine to thrash":
+	// past the RAM knee IBM/1 grows faster than the linear n it grows by
+	// below it.
+	ibm10 := IBM1(10, false, service)
+	ibm80 := IBM1(80, false, service)
+	if ibm10.ThrashFactor != 1 {
+		t.Errorf("10 JVMs (80 MB) thrash (factor %.2f) on 256 MB", ibm10.ThrashFactor)
+	}
 	if ibm80.ThrashFactor <= 1 {
-		t.Errorf("IBM/1 at 80 JVMs did not thrash (factor %.2f)", ibm80.ThrashFactor)
+		t.Errorf("80 JVMs did not thrash (factor %.2f)", ibm80.ThrashFactor)
 	}
-	if ibmGrowth < 1.5*kGrowth {
-		t.Errorf("IBM/1 growth (%.1fx) should exceed KaffeOS growth (%.1fx) at the thrash knee", ibmGrowth, kGrowth)
-	}
-	if k80.ThrashFactor > 1.01 {
-		t.Errorf("KaffeOS thrashes (%.2fx) — its processes share one VM", k80.ThrashFactor)
+	if growth := ibm80.Seconds / ibm10.Seconds; growth < 1.5*8 {
+		t.Errorf("IBM/1 grew %.1fx from 10 to 80 JVMs, want super-linear (>= 12x)", growth)
 	}
 }
 
 func TestMemHogPolicies(t *testing.T) {
-	p := DefaultParams()
-	for _, n := range []int{2, 10, 40} {
-		kNo := Simulate(Config{Mode: ModeKaffeOS, Servlets: n}, p)
-		kHog := Simulate(Config{Mode: ModeKaffeOS, Servlets: n, MemHog: true}, p)
-		nNo := Simulate(Config{Mode: ModeIBMn, Servlets: n}, p)
-		nHog := Simulate(Config{Mode: ModeIBMn, Servlets: n, MemHog: true}, p)
-
-		// KaffeOS: consistent performance with or without the hog — the
-		// headline property. Allow a modest premium for the hog's CPU
-		// share.
-		if kHog.Seconds > 3*kNo.Seconds {
-			t.Errorf("n=%d: KaffeOS degrades %.1fx under MemHog", n, kHog.Seconds/kNo.Seconds)
+	// IBM/1's policy: the hog's JVM dies and restarts alone; the other
+	// JVMs only lose its CPU share while it runs.
+	for _, n := range []int{1, 10, 40} {
+		no := IBM1(n, false, service)
+		hog := IBM1(n, true, service)
+		if hog.Crashes == 0 {
+			t.Errorf("n=%d: the hog never hit its heap cap", n)
 		}
-		if kHog.Crashes == 0 {
-			t.Errorf("n=%d: KaffeOS hog never hit its memlimit", n)
+		if hog.Seconds < no.Seconds || hog.Seconds > 2*no.Seconds {
+			t.Errorf("n=%d: IBM/1,MemHog %.1fs against %.1fs without it, want within 2x", n, hog.Seconds, no.Seconds)
 		}
-		// IBM/n: catastrophic degradation at small n.
-		if n <= 10 && nHog.Seconds < 5*nNo.Seconds {
-			t.Errorf("n=%d: IBM/n under MemHog only %.1fx worse — paper shows catastrophe",
-				n, nHog.Seconds/nNo.Seconds)
-		}
-	}
-}
-
-func TestIBMnHogImprovesWithMoreServlets(t *testing.T) {
-	// "The service of IBM/n,MemHog improves as the number of servlets
-	// increases" — the scheduler yields to the hog less often. Normalize
-	// per-request time: total seconds per (n * 1000) requests must drop.
-	p := DefaultParams()
-	t5 := Simulate(Config{Mode: ModeIBMn, Servlets: 5, MemHog: true}, p)
-	t60 := Simulate(Config{Mode: ModeIBMn, Servlets: 60, MemHog: true}, p)
-	per5 := t5.Seconds / 5
-	per60 := t60.Seconds / 60
-	if per60 >= per5 {
-		t.Errorf("IBM/n,MemHog per-servlet time did not improve: %.2f @5 vs %.2f @60", per5, per60)
-	}
-}
-
-func TestCrossoverKaffeOSBeatsIBMnUnderAttack(t *testing.T) {
-	// Figure 4's most important feature: with a MemHog, IBM/n performs
-	// *worse* than KaffeOS at low-to-moderate n, "despite the fact that
-	// KaffeOS is several times slower for individual servlets".
-	p := DefaultParams()
-	for _, n := range []int{1, 2, 5, 10} {
-		k := Simulate(Config{Mode: ModeKaffeOS, Servlets: n, MemHog: true}, p)
-		ibmn := Simulate(Config{Mode: ModeIBMn, Servlets: n, MemHog: true}, p)
-		if k.Seconds >= ibmn.Seconds {
-			t.Errorf("n=%d: KaffeOS,MemHog (%.1fs) not faster than IBM/n,MemHog (%.1fs)",
-				n, k.Seconds, ibmn.Seconds)
-		}
-	}
-	// Without a hog, IBM/n is the best configuration at moderate n.
-	k := Simulate(Config{Mode: ModeKaffeOS, Servlets: 10}, p)
-	ibmn := Simulate(Config{Mode: ModeIBMn, Servlets: 10}, p)
-	if ibmn.Seconds >= k.Seconds {
-		t.Errorf("without hog IBM/n (%.1fs) should beat KaffeOS (%.1fs)", ibmn.Seconds, k.Seconds)
 	}
 }
 
 func TestFigure4AllCurves(t *testing.T) {
-	curves := Figure4(DefaultParams())
-	if len(curves) != 6 {
-		t.Fatalf("curves = %d, want 6", len(curves))
-	}
-	for _, name := range CurveOrder() {
-		pts, ok := curves[name]
-		if !ok {
-			t.Fatalf("missing curve %q", name)
-		}
-		if len(pts) != len(Figure4Points()) {
-			t.Fatalf("curve %q has %d points", name, len(pts))
-		}
-		for _, o := range pts {
-			if o.Seconds <= 0 || math.IsNaN(o.Seconds) || math.IsInf(o.Seconds, 0) {
-				t.Errorf("curve %q: bad outcome %v", name, o)
+	for _, hog := range []bool{false, true} {
+		for _, n := range Figure4Points() {
+			o := IBM1(n, hog, service)
+			if o.Seconds <= 0 || math.IsNaN(o.Seconds) || math.IsInf(o.Seconds, 0) || o.Servlets != n || o.MemHog != hog {
+				t.Errorf("bad outcome %v", o)
 			}
 		}
 	}

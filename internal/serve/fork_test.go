@@ -32,8 +32,8 @@ func parseResult(t *testing.T, body string) int64 {
 // the HTTP response.
 func TestServeTemplateForkCorrectness(t *testing.T) {
 	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{
-		{Route: "/classic", Warm: true, WorkUnits: 50},
-		{Route: "/zygote", Warm: true, WorkUnits: 50, Template: true},
+		{Route: "/classic", Program: Warm, WorkUnits: 50},
+		{Route: "/zygote", Program: Warm, WorkUnits: 50, Template: true},
 	})
 
 	for _, body := range []string{"", "x", "hello world", strings.Repeat("q", 700)} {
@@ -73,7 +73,7 @@ func TestServeTemplateRestartForksFromZygote(t *testing.T) {
 	}
 	s, vm, base := startServer(t, core.Config{Faults: faults.NewPlane(plan)},
 		Config{RestartBackoff: 2 * time.Millisecond},
-		[]TenantConfig{{Route: "/z", Warm: true, Template: true, WorkUnits: 30}})
+		[]TenantConfig{{Route: "/z", Program: Warm, Template: true, WorkUnits: 30}})
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -127,7 +127,7 @@ func TestServeTemplateRestartForksFromZygote(t *testing.T) {
 // one checkpoint plus one fork and is answered 200.
 func TestServeLazyScaleFromZero(t *testing.T) {
 	s, vm, base := startServer(t, core.Config{}, Config{}, []TenantConfig{
-		{Route: "/cold", Warm: true, Template: true, Lazy: true, WorkUnits: 20},
+		{Route: "/cold", Program: Warm, Template: true, Lazy: true, WorkUnits: 20},
 	})
 	defer func() {
 		if err := s.Close(); err != nil {

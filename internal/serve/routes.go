@@ -11,7 +11,8 @@ import (
 //
 //	path[:attr[:attr...]]
 //
-// where each attr is "hog", "servlet", "warm" or "wide" (role),
+// where each attr is one program word — "hog", "servlet", "warm",
+// "wide" or "dispatch" (see Program), at most one per route — or
 // "norestart", "template" (fork incarnations from a checkpointed zygote),
 // "lazy" (scale-from-zero: start on first request), or an integer
 // memlimit in KiB. Examples:
@@ -21,6 +22,7 @@ import (
 //	/once:hog:512:norestart
 //	/fast:warm:template:lazy
 //	/big:wide:8192
+//	/ibm:dispatch:1024
 func ParseRoutes(spec string) ([]TenantConfig, error) {
 	var out []TenantConfig
 	seen := make(map[string]bool)
@@ -42,16 +44,19 @@ func ParseRoutes(spec string) ([]TenantConfig, error) {
 		}
 		seen[parts[0]] = true
 		tc := TenantConfig{Route: parts[0]}
+		prog := ""
 		for _, attr := range parts[1:] {
 			switch attr {
-			case "hog":
-				tc.Hog = true
-			case "servlet":
-				tc.Hog = false
-			case "warm":
-				tc.Warm = true
-			case "wide":
-				tc.Wide = true
+			case "hog", "servlet", string(Warm), string(Wide), string(Dispatch):
+				if prog != "" {
+					return nil, fmt.Errorf("serve: route %q: two programs (%s and %s)", parts[0], prog, attr)
+				}
+				prog = attr
+				if attr == "hog" {
+					tc.Hog = true
+				} else if attr != "servlet" {
+					tc.Program = Program(attr)
+				}
 			case "template":
 				tc.Template = true
 			case "lazy":

@@ -40,7 +40,7 @@ func TestParseRoutesTable(t *testing.T) {
 		{name: "many", spec: "/a,/b,/c", want: []string{"/a", "/b", "/c"}},
 		{name: "whitespace", spec: " /a , /b ", want: []string{"/a", "/b"}},
 		{name: "trailing comma", spec: "/a,/b,", want: []string{"/a", "/b"}},
-		{name: "servlet attr resets hog", spec: "/a:hog:servlet", want: []string{"/a"}},
+		{name: "explicit servlet", spec: "/a:servlet:512", want: []string{"/a"}},
 		{name: "all attrs", spec: "/a:hog:512:norestart", want: []string{"/a"}},
 		{name: "zygote attrs", spec: "/a:warm:template:lazy", want: []string{"/a"}},
 
@@ -58,6 +58,9 @@ func TestParseRoutesTable(t *testing.T) {
 		{name: "reserved healthz", spec: "/a,/healthz", errSub: "reserved"},
 		{name: "duplicate", spec: "/a,/b,/a", errSub: "duplicate route"},
 		{name: "duplicate with attrs", spec: "/a:hog,/a:512", errSub: "duplicate route"},
+		{name: "hog then wide", spec: "/x:hog:wide", errSub: "two programs"},
+		{name: "servlet after hog", spec: "/a:hog:servlet", errSub: "two programs"},
+		{name: "same program twice", spec: "/a:warm:512:warm", errSub: "two programs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,7 +97,7 @@ func TestParseRoutesTable(t *testing.T) {
 // route lists: roles, memlimits and restart policy land on the right
 // tenant when several are combined in one spec.
 func TestParseRoutesAttrSemantics(t *testing.T) {
-	got, err := ParseRoutes("/plain,/big:8192,/hog:hog:1024:norestart,/zyg:warm:template:lazy:2048")
+	got, err := ParseRoutes("/plain,/big:8192,/hog:hog:1024:norestart,/zyg:warm:template:lazy:2048,/ibm:dispatch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +105,33 @@ func TestParseRoutesAttrSemantics(t *testing.T) {
 		{Route: "/plain"},
 		{Route: "/big", MemKB: 8192},
 		{Route: "/hog", Hog: true, MemKB: 1024, NoRestart: true},
-		{Route: "/zyg", Warm: true, Template: true, Lazy: true, MemKB: 2048},
+		{Route: "/zyg", Program: Warm, Template: true, Lazy: true, MemKB: 2048},
+		{Route: "/ibm", Program: Dispatch},
 	}
 	for i, w := range want {
 		g := got[i]
 		if g.Route != w.Route || g.Hog != w.Hog || g.MemKB != w.MemKB || g.NoRestart != w.NoRestart ||
-			g.Warm != w.Warm || g.Template != w.Template || g.Lazy != w.Lazy {
+			g.Program != w.Program || g.Template != w.Template || g.Lazy != w.Lazy {
 			t.Errorf("entry %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestFillRejectsTwoPrograms: a config built in code gets the same check
+// ParseRoutes makes on words — Hog and Program are one choice.
+func TestFillRejectsTwoPrograms(t *testing.T) {
+	for _, tc := range []TenantConfig{
+		{Route: "/x", Hog: true, Program: Wide},
+		{Route: "/x", Hog: true, Program: Dispatch},
+		{Route: "/x", Program: "bogus"},
+	} {
+		if err := tc.fill(); err == nil {
+			t.Errorf("fill(%+v) accepted it", tc)
+		}
+	}
+	for _, tc := range []TenantConfig{{Route: "/x", Hog: true}, {Route: "/x", Program: Dispatch}} {
+		if err := tc.fill(); err != nil {
+			t.Errorf("fill(%+v): %v", tc, err)
 		}
 	}
 }

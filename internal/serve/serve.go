@@ -54,7 +54,8 @@ type TenantConfig struct {
 	// Name is the process name (defaults to the route without the slash).
 	Name string
 	// Hog selects the request-driven MemHog program instead of the
-	// well-behaved servlet.
+	// well-behaved servlet. It is a program choice like Program, and the
+	// two are exclusive.
 	Hog bool
 	// MemKB is the tenant process' memlimit in KiB (default 4096).
 	MemKB int
@@ -75,15 +76,9 @@ type TenantConfig struct {
 	// NoRestart disables the supervisor: a dead tenant stays dead and its
 	// route sheds until the server closes.
 	NoRestart bool
-	// Warm selects the expensive-startup servlet: a <clinit>-built lookup
-	// table that makes every cold start pay a long warmup — the workload
-	// the template path exists for.
-	Warm bool
-	// Wide selects the compile-heavy servlet: a wide method surface with
-	// no clinit, so cold start is dominated by per-process JIT
-	// compilation — the workload the shared code cache
-	// (core.Config.CodeCache) exists for.
-	Wide bool
+	// Program selects the servlet the tenant process runs (default
+	// Servlet).
+	Program Program
 	// Template starts incarnations by forking a checkpointed zygote
 	// instead of re-initializing from bytecode: the first start on a shard
 	// warms a quiescent process once, checkpoints it into an immutable
@@ -98,6 +93,28 @@ type TenantConfig struct {
 	Lazy bool
 }
 
+// Program names a request-driven servlet program from internal/jserv.
+// Its value is the word ParseRoutes reads for it.
+type Program string
+
+const (
+	// Servlet is the well-behaved request handler (jserv.NetServlet).
+	Servlet Program = ""
+	// Warm is the expensive-startup servlet: a <clinit>-built lookup
+	// table that makes every cold start pay a long warmup — the workload
+	// the template path exists for.
+	Warm Program = "warm"
+	// Wide is the compile-heavy servlet: a wide method surface with no
+	// clinit, so cold start is dominated by per-process JIT compilation —
+	// the workload the shared code cache (core.Config.CodeCache) exists
+	// for.
+	Wide Program = "wide"
+	// Dispatch hosts every servlet and the MemHog in one process, the
+	// body choosing which runs (jserv.NetDispatch): Figure 4's IBM/n
+	// deployment, where the hog's OutOfMemoryError kills them all.
+	Dispatch Program = "dispatch"
+)
+
 // program is what a tenant process runs: the servlet's entry class, its
 // module, and the role name TenantRow.Role and the serve.role scope
 // annotation report.
@@ -107,18 +124,23 @@ type program struct {
 	role   string
 }
 
-// program maps the (mutually exclusive) kind flags to the servlet they
-// select.
-func (c *TenantConfig) program() program {
-	switch {
-	case c.Hog:
-		return program{jserv.NetHogClass, jserv.NetHogModule, "memhog"}
-	case c.Warm:
-		return program{jserv.NetWarmClass, jserv.NetWarmModule, "warm"}
-	case c.Wide:
-		return program{jserv.NetWideClass, jserv.NetWideModule, "wide"}
+// programs maps each Program to what it runs; Hog runs hogProgram.
+var (
+	programs = map[Program]program{
+		Servlet:  {jserv.NetServletClass, jserv.NetServletModule, "servlet"},
+		Warm:     {jserv.NetWarmClass, jserv.NetWarmModule, "warm"},
+		Wide:     {jserv.NetWideClass, jserv.NetWideModule, "wide"},
+		Dispatch: {jserv.NetDispatchClass, jserv.NetDispatchModule, "dispatch"},
 	}
-	return program{jserv.NetServletClass, jserv.NetServletModule, "servlet"}
+	hogProgram = program{jserv.NetHogClass, jserv.NetHogModule, "memhog"}
+)
+
+// program is the servlet the (validated) config selects.
+func (c *TenantConfig) program() program {
+	if c.Hog {
+		return hogProgram
+	}
+	return programs[c.Program]
 }
 
 func (c *TenantConfig) fill() error {
@@ -146,14 +168,11 @@ func (c *TenantConfig) fill() error {
 	if c.ShedFraction == 0 {
 		c.ShedFraction = 0.9
 	}
-	kinds := 0
-	for _, k := range []bool{c.Hog, c.Warm, c.Wide} {
-		if k {
-			kinds++
-		}
+	if _, ok := programs[c.Program]; !ok {
+		return fmt.Errorf("serve: route %q: unknown program %q", c.Route, c.Program)
 	}
-	if kinds > 1 {
-		return fmt.Errorf("serve: route %q: hog, warm, and wide are mutually exclusive", c.Route)
+	if c.Hog && c.Program != Servlet {
+		return fmt.Errorf("serve: route %q: two programs (hog and %s)", c.Route, c.Program)
 	}
 	if c.Lazy && c.NoRestart {
 		return fmt.Errorf("serve: route %q: lazy needs the supervisor (norestart set)", c.Route)
@@ -246,6 +265,9 @@ const (
 	// quantum, 0.2 virtual ms): small enough that new arrivals are
 	// admitted promptly while requests execute.
 	sliceCycles = 100_000
+	// yieldEvery is how long a busy engine loop runs before it yields
+	// its P to the goroutines it readied.
+	yieldEvery = time.Millisecond
 	// submitBuffer bounds each shard's socket→engine handoff channel; a
 	// full buffer sheds with 503 at the HTTP layer.
 	submitBuffer = 256

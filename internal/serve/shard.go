@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
@@ -225,6 +226,7 @@ func (sh *shard) removeTenant(tn *tenant) {
 // advancing the scheduler one slice, and reaping completions and deaths.
 func (sh *shard) loop() {
 	defer close(sh.loopDone)
+	yielded := time.Now()
 	for {
 		sh.drainCtrl()
 		sh.drainSubmit()
@@ -248,6 +250,13 @@ func (sh *shard) loop() {
 		}
 		if sh.idle() {
 			sh.idleWait()
+			yielded = time.Now()
+		} else if time.Since(yielded) >= yieldEvery {
+			// The loop never blocks while it has work. Without a yield,
+			// the clients it answered and the other shards sharing its P
+			// wait for the runtime's 10 ms forced preemption.
+			runtime.Gosched()
+			yielded = time.Now()
 		}
 	}
 }

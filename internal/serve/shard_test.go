@@ -370,8 +370,8 @@ func TestNewShardedRejectsSharedHub(t *testing.T) {
 // answer every body identically and audit clean.
 func TestShardsRunCachedCodeConcurrently(t *testing.T) {
 	tenants := []TenantConfig{
-		{Route: "/w0", Wide: true, WorkUnits: 20},
-		{Route: "/w1", Wide: true, WorkUnits: 20},
+		{Route: "/w0", Program: Wide, WorkUnits: 20},
+		{Route: "/w1", Program: Wide, WorkUnits: 20},
 	}
 	s, _, _ := startServer(t, core.Config{CodeCache: true}, Config{Shards: 2, Place: LeastLoaded}, tenants)
 	if s.ShardOf("/w0") == s.ShardOf("/w1") {

@@ -70,6 +70,20 @@ type Platform struct {
 	Barrier barrier.Barrier
 }
 
+// Config is the VM configuration the platform names: its engine,
+// exception dispatch, locking and barrier, on the paper's 256 MiB machine.
+// Every VM built for a platform is built from it.
+func (p Platform) Config() core.Config {
+	fe := p.FastExceptions
+	return core.Config{
+		Engine:         p.Engine,
+		Barrier:        p.Barrier,
+		FastExceptions: &fe,
+		ThinLocks:      p.ThinLocks,
+		TotalMemory:    256 << 20,
+	}
+}
+
 // Platforms returns the seven configurations of Figure 3, in its order.
 func Platforms() []Platform {
 	return []Platform{
@@ -106,14 +120,7 @@ type Result struct {
 
 // Run executes workload w on platform p and verifies the checksum.
 func Run(w *Workload, p Platform) (Result, error) {
-	fe := p.FastExceptions
-	vm, err := core.NewVM(core.Config{
-		Engine:         p.Engine,
-		Barrier:        p.Barrier,
-		FastExceptions: &fe,
-		ThinLocks:      p.ThinLocks,
-		TotalMemory:    256 << 20,
-	})
+	vm, err := core.NewVM(p.Config())
 	if err != nil {
 		return Result{}, err
 	}
