@@ -76,7 +76,10 @@ type fig4Point struct {
 // 200s each. The plane is audited after it closes (onPlane).
 func measurePoint(c fig4Curve, n, perServlet int) (fig4Point, error) {
 	pt := fig4Point{Curve: c.name, Servlets: n}
-	plat, _ := spec.PlatformByName(c.platform)
+	plat, ok := spec.PlatformByName(c.platform)
+	if !ok {
+		return pt, fmt.Errorf("no platform %q", c.platform)
+	}
 	routes := make([]string, n)
 	var tenants []serve.TenantConfig
 	hogAt := "/memhog"

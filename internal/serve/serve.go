@@ -94,7 +94,8 @@ type TenantConfig struct {
 }
 
 // Program names a request-driven servlet program from internal/jserv.
-// Its value is the word ParseRoutes reads for it.
+// Its value is the word ParseRoutes reads for it ("servlet" for the
+// zero value).
 type Program string
 
 const (
