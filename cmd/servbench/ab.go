@@ -180,16 +180,17 @@ func onPlane(vmCfg core.Config, cfg serve.Config, tenants []serve.TenantConfig, 
 	return closeAndAudit(srv)
 }
 
-// post sends one request and reports its status and wall-clock latency.
-func post(client *http.Client, url, body string) (int, time.Duration, error) {
+// post sends one request and reports its status, wall-clock latency and
+// response header.
+func post(client *http.Client, url, body string) (int, time.Duration, http.Header, error) {
 	t0 := time.Now()
 	resp, err := client.Post(url, "text/plain", strings.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode, time.Since(t0), nil
+	return resp.StatusCode, time.Since(t0), resp.Header, nil
 }
 
 // scaleFromZero is the arm shared by -coldstart and -codecache: a plane
@@ -212,7 +213,7 @@ func scaleFromZero(vmCfg core.Config, shards, trials int, shape serve.TenantConf
 	err := onPlane(vmCfg, serve.Config{Shards: shards}, tenants, func(srv *serve.Server, base string) error {
 		client := &http.Client{Timeout: 60 * time.Second}
 		ok := func(route string) (time.Duration, error) {
-			status, d, err := post(client, base+route, "scale-from-zero")
+			status, d, _, err := post(client, base+route, "scale-from-zero")
 			if err == nil && status != http.StatusOK {
 				err = fmt.Errorf("route %s: status %d", route, status)
 			}
@@ -329,7 +330,7 @@ func overcommit(budget, requests uint64, clients, shards int, controller bool) (
 					if i%8 == 7 {
 						route, body = fmt.Sprintf("/t%d", 4+(i/8)%4), "ping"
 					}
-					status, d, err := post(client, base+route, body)
+					status, d, _, err := post(client, base+route, body)
 					switch {
 					case err == nil && status == http.StatusOK:
 						okNs = append(okNs, d.Nanoseconds())

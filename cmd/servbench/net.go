@@ -200,7 +200,7 @@ func netLoad(srv *serve.Server, base string, tenants []serve.TenantConfig, clien
 				}
 				st := stats[int(i)%len(stats)]
 				st.sent.Add(1)
-				status, d, err := post(client, base+st.Route, body)
+				status, d, _, err := post(client, base+st.Route, body)
 				if err != nil {
 					st.transport.Add(1)
 					continue

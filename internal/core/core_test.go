@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -897,6 +898,27 @@ CHECK:	aload 0
 // The process abstraction's fixed costs hold their Go allocation counts,
 // which unlike host time do not depend on the host: each stays under
 // ⌊1.15 × the count measured when its ceiling was set⌋.
+// TestIdleVMBytes pins what one VM that nobody traces costs the host: its
+// telemetry rings grow on first use, so an idle VM allocates no event or
+// span buffers (the rings were 4.5 MiB of its 5.08 MB when allocated up
+// front).
+func TestIdleVMBytes(t *testing.T) {
+	const runs, ceiling = 20, 512 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := NewVM(Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per idle NewVM", per)
+	if per > ceiling {
+		t.Errorf("an idle NewVM allocates %d bytes, ceiling %d", per, ceiling)
+	}
+}
+
 func TestProcessAllocationCeilings(t *testing.T) {
 	opts := ProcessOptions{MemLimit: 8 << 20}
 	// incarnation makes a process with mk, runs the VM for budget cycles

@@ -171,6 +171,31 @@ func SqrtExtra(live uint64, rate float64, horizon uint64) uint64 {
 	return uint64(math.Sqrt(float64(live) * rate * float64(horizon)))
 }
 
+// GCPercentFloor is GCPercent's floor: the Go runtime's default GOGC, at
+// which a heap may grow by its live size before it is collected.
+const GCPercentFloor = 100
+
+// GCPercent is the rule one level down, for a host heap paced by a growth
+// percentage (the Go runtime's GOGC): the percentage at which the host
+// collector's next goal is live + SqrtExtra(live, rate, horizon), for a
+// heap of live bytes allocating rate bytes per unit of horizon. At
+// percentage p the Go runtime's goal is max(live × (1 + p/100),
+// minHeap × p/100) — its heap minimum (4 MiB at p = 100) scales with p —
+// so the percentage is the smaller of the two that reach the goal. It is
+// never below GCPercentFloor, which a heap with no history (zero live or
+// rate) gets.
+func GCPercent(live uint64, rate float64, horizon, minHeap uint64) int {
+	if live == 0 {
+		return GCPercentFloor
+	}
+	extra := SqrtExtra(live, rate, horizon)
+	p := 100 * extra / live
+	if minHeap > 0 {
+		p = min(p, 100*(live+extra)/minHeap)
+	}
+	return max(GCPercentFloor, int(p))
+}
+
 // Target is one controlled heap: the memlimit to resize plus the raw
 // readings the controller turns into a Sample.
 type Target struct {

@@ -235,6 +235,44 @@ func TestSqrtExtra(t *testing.T) {
 	}
 }
 
+func TestGCPercent(t *testing.T) {
+	const mib = 1 << 20
+	for _, c := range []struct {
+		name             string
+		live             uint64
+		rate             float64
+		horizon, minHeap uint64
+		want             int
+	}{
+		{"zero live", 0, 1e9, 1 << 30, 0, GCPercentFloor},
+		{"zero rate", 8 * mib, 0, 1 << 30, 0, GCPercentFloor},
+		{"negative rate", 8 * mib, -1, 1 << 30, 0, GCPercentFloor},
+		{"zero horizon", 8 * mib, 1, 0, 0, GCPercentFloor},
+		// √(4 MiB × 1 B/unit × 1 Mi units) = 2 MiB = 50 % of live: floored.
+		{"below the floor", 4 * mib, 1, mib, 0, GCPercentFloor},
+		// √(1 MiB × 1 × 1 Mi) = 1 MiB = live: exactly the floor.
+		{"at the floor", mib, 1, mib, 0, 100},
+		// √(1 MiB × 4 × 1 Mi) = 2 MiB.
+		{"4x rate", mib, 4, mib, 0, 200},
+		// √(1 MiB × 16 × 1 Mi) = 4 MiB.
+		{"16x rate", mib, 16, mib, 0, 400},
+		// √(4 MiB × 16 × 1 Mi) = 8 MiB = 200 % of a 4x live heap.
+		{"4x live", 4 * mib, 16, mib, 0, 200},
+		// Goal 1 + 4 = 5 MiB: a 4 MiB heap minimum reaches it at 125 %,
+		// before live × (1 + p) does at 400 %.
+		{"heap minimum binds", mib, 16, mib, 4 * mib, 125},
+		// Goal 16 + 32 = 48 MiB: live × 3 reaches it at 200 %, before
+		// the heap minimum does at 1200 %.
+		{"live binds", 16 * mib, 64, mib, 4 * mib, 200},
+		// Goal 1 + 2 = 3 MiB is below the heap minimum at any percent.
+		{"heap minimum floored", mib, 4, mib, 4 * mib, GCPercentFloor},
+	} {
+		if got := GCPercent(c.live, c.rate, c.horizon, c.minHeap); got != c.want {
+			t.Errorf("%s: GCPercent(%d, %g, %d, %d) = %d, want %d", c.name, c.live, c.rate, c.horizon, c.minHeap, got, c.want)
+		}
+	}
+}
+
 // harness builds a root + n child limits for controller tests.
 func harness(t *testing.T, n int, childMax uint64) (*memlimit.Limit, []*memlimit.Limit) {
 	t.Helper()

@@ -48,9 +48,17 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request) {
 	if resp.pid != 0 {
 		w.Header().Set("X-Kaffeos-Pid", strconv.Itoa(int(resp.pid)))
 	}
+	if resp.caught {
+		w.Header().Set(CaughtHeader, "1")
+	}
 	w.WriteHeader(resp.status)
 	_, _ = io.WriteString(w, resp.body)
 }
+
+// CaughtHeader marks a response to a request that shared a death of its
+// tenant's process: queued or in flight when the process died, or queued
+// behind its restart. TenantRow.Caught counts the same requests.
+const CaughtHeader = "X-Kaffeos-Caught"
 
 // roundTrip hands one request to the owning shard's engine loop and waits
 // for the single guaranteed response. t0 is the wall-clock accept time.
@@ -148,6 +156,7 @@ type TenantRow struct {
 	Shed       uint64 `json:"shed"`
 	Errors     uint64 `json:"errors"`
 	Restarts   uint64 `json:"restarts"`
+	Caught     uint64 `json:"caught"` // requests that shared a death of the tenant's process (CaughtHeader)
 	Migrations uint64 `json:"migrations"`
 	Queue      uint64 `json:"queue"`
 	Inflight   uint64 `json:"inflight"`
@@ -170,6 +179,7 @@ func rowFor(tn *tenant) TenantRow {
 		Shed:       tn.shed.Value(),
 		Errors:     tn.errs.Value(),
 		Restarts:   tn.restarts.Value(),
+		Caught:     tn.caught.Value(),
 		Migrations: tn.migrations.Value(),
 		Queue:      tn.qdepth.Value(),
 		Inflight:   tn.infl.Value(),

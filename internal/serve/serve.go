@@ -302,6 +302,7 @@ type response struct {
 	status int
 	body   string
 	pid    int32
+	caught bool
 }
 
 // request is one in-flight HTTP request crossing the socket/engine
@@ -325,6 +326,10 @@ type request struct {
 	span         *telemetry.Span
 	t0           time.Time // wall-clock accept (body read start)
 	dispatchedAt time.Time // wall-clock entry into the VM
+
+	// caught: the request shared a death of its tenant's process (see
+	// shard.catch).
+	caught bool
 }
 
 // tenant is one route's servlet process plus its supervisor state. Queue,
@@ -351,9 +356,9 @@ type tenant struct {
 	nextRestart time.Time
 
 	// Lifetime aggregates across restarts and migrations.
-	reqs, okCount, shed, errs, restarts, migrations telemetry.Counter
-	latency                                         telemetry.Histogram
-	qdepth, infl                                    telemetry.Gauge
+	reqs, okCount, shed, errs, restarts, migrations, caught telemetry.Counter
+	latency                                                 telemetry.Histogram
+	qdepth, infl                                            telemetry.Gauge
 
 	// Mirrors into the current process incarnation's telemetry scope, so
 	// `kaffeos ps`/`top` and /metrics show serving stats per pid.
@@ -465,6 +470,7 @@ func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server,
 		s.tenants = append(s.tenants, tn)
 		s.byRoute[tc.Route] = tn
 	}
+	pacer.acquire(s)
 	return s, nil
 }
 
@@ -595,6 +601,7 @@ func (s *Server) Close() error {
 		}
 		close(stop)
 		wg.Wait()
+		pacer.release(s)
 	})
 	return nil
 }

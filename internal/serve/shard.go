@@ -231,6 +231,7 @@ func (sh *shard) loop() {
 		sh.drainCtrl()
 		sh.drainSubmit()
 		now := time.Now()
+		pacer.tick(now)
 		sh.checkRestarts(now)
 		running := sh.dispatchAll()
 		if running > 0 {
@@ -314,8 +315,14 @@ func (sh *shard) admit(r *request) {
 		return
 	}
 	if len(tn.queue) >= tn.cfg.QueueMax {
-		sh.shed(r, "queue full")
-		return
+		// A burst drained in one pass fills the queue before anything
+		// is dispatched: start what the tenant has room for first, so
+		// "queue full" never refuses a request a free slot would take.
+		sh.dispatch(tn)
+		if len(tn.queue) >= tn.cfg.QueueMax {
+			sh.shed(r, "queue full")
+			return
+		}
 	}
 	if !tn.down && tn.cfg.ShedFraction > 0 {
 		p := tn.proc
@@ -343,9 +350,28 @@ func (sh *shard) admit(r *request) {
 			}
 		}
 	}
+	if tn.down && tn.deaths > 0 {
+		sh.catch(r) // it waits out the restart
+	}
 	tn.queue = append(tn.queue, r)
 	tn.qdepth.Set(uint64(len(tn.queue)))
 	sh.publish(tn)
+}
+
+// catch records that r shares its tenant's fate: it was queued or in
+// flight when the tenant's process died, or it queued behind the restart.
+// This is what the isolation policy decides — a tenant's death reaches
+// every request of the process it killed and no other — counted where it
+// happens rather than read off which requests a client saw fail.
+func (sh *shard) catch(r *request) {
+	if r.caught || r.done {
+		return
+	}
+	r.caught = true
+	r.tn.caught.Inc()
+	if sc := r.tn.scope; sc != nil {
+		sc.Counter(telemetry.MServeCaught).Inc()
+	}
 }
 
 // shed refuses a request with 503 — the only answer admission control
@@ -424,7 +450,7 @@ func (sh *shard) respond(r *request, status int, body string) {
 	}
 	r.done = true
 	sh.finishSpan(r, status, strings.TrimSuffix(body, "\n"))
-	r.resp <- response{status: status, body: body, pid: r.tn.pid()}
+	r.resp <- response{status: status, body: body, pid: r.tn.pid(), caught: r.caught}
 }
 
 // dispatchAll starts queued requests on every tenant with capacity and
@@ -547,6 +573,9 @@ func (sh *shard) reap(tn *tenant, now time.Time) {
 				continue
 			}
 			if r.th.Err != nil || r.th.Uncaught != nil {
+				if tn.down || tn.proc.State() != core.ProcRunning {
+					sh.catch(r) // its process died, not just its thread
+				}
 				sh.fail(r, "tenant died mid-request")
 				continue
 			}
@@ -589,7 +618,11 @@ func (sh *shard) fail(r *request, reason string) {
 // post-mortem, no backoff, no restart here — the target shard restarts it.
 func (sh *shard) markDown(tn *tenant, now time.Time) {
 	tn.down = true
+	for _, r := range tn.inflight {
+		sh.catch(r)
+	}
 	for _, r := range tn.queue {
+		sh.catch(r)
 		sh.shed(r, "tenant down")
 	}
 	tn.queue = tn.queue[:0]

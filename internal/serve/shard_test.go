@@ -418,3 +418,44 @@ func TestShardsRunCachedCodeConcurrently(t *testing.T) {
 	}
 	auditAllShards(t, s)
 }
+
+// TestAdmitDispatchesBeforeShedding sends a burst that one engine pass
+// admits at once, to a tenant whose queue holds one request and whose
+// process runs eight. Admission must start what the free slots take
+// before it refuses "queue full": exactly the requests beyond
+// MaxInflight+QueueMax are shed, and every other one answers 200.
+func TestAdmitDispatchesBeforeShedding(t *testing.T) {
+	const inflight, queue, excess = 8, 1, 2
+	const burst = inflight + queue + excess
+	s, _, _ := startServer(t, core.Config{}, Config{}, []TenantConfig{
+		{Route: "/b", WorkUnits: 2000, QueueMax: queue, MaxInflight: inflight}})
+	defer s.Close()
+	sh := s.shards[0]
+
+	// Hold the engine until the whole burst waits in its submit buffer.
+	held, release := make(chan struct{}), make(chan struct{})
+	sh.ctrl <- func() { close(held); <-release }
+	<-held
+	statuses := make(chan int, burst)
+	for i := 0; i < burst; i++ {
+		go func() {
+			status, _ := s.Do("/b", []byte("burst"))
+			statuses <- status
+		}()
+	}
+	for len(sh.submit) < burst {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+
+	count := map[int]int{}
+	for i := 0; i < burst; i++ {
+		count[<-statuses]++
+	}
+	if count[200] != inflight+queue || count[503] != excess {
+		t.Errorf("burst of %d: statuses %v, want %d x 200 and %d x 503", burst, count, inflight+queue, excess)
+	}
+	if row := s.Rows()[0]; row.Shed != excess {
+		t.Errorf("shed %d, want %d", row.Shed, excess)
+	}
+}

@@ -305,9 +305,18 @@ const (
 	MServeErrors     = "serve.errors"      // counter: 5xx from a dying/dead tenant
 	MServeRestarts   = "serve.restarts"    // counter: tenant process restarts
 	MServeMigrations = "serve.migrations"  // counter: tenant shard migrations
+	MServeCaught     = "serve.caught"      // counter: requests that shared a death of the tenant's process
 	MServeQueueDepth = "serve.queue_depth" // gauge: requests waiting for dispatch
 	MServeInflight   = "serve.inflight"    // gauge: requests executing in the VM
 	MServeLatency    = "serve.latency_ns"  // histogram: wall-clock request latency
+
+	// Go heap pacing of the serving plane (internal/serve). The setting is
+	// process-wide; every running plane mirrors it into its shards'
+	// kernel scopes.
+	MGoGCPercent = "go.gc_percent"        // gauge: Go GC percent the plane set
+	MGoHeapGoal  = "go.heap_goal_bytes"   // gauge: Go heap size at which the next GC starts
+	MGoHeapLive  = "go.heap_live_bytes"   // gauge: live Go heap at the last GC (the rule's live)
+	MGoAllocRate = "go.alloc_bytes_per_s" // gauge: smoothed Go allocation rate (the rule's rate)
 
 	// Request-scoped cost attribution (spans). Histograms get one
 	// observation per completed request; kernel scope aggregates across

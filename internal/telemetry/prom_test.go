@@ -22,6 +22,11 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	k := hub.Reg.Kernel()
 	k.Counter(MProcsCreated).Add(2)
 	k.Gauge(MMemLimit).Set(123456)
+	// The serving plane's Go heap pacing: the setting and its inputs.
+	k.Gauge(MGoGCPercent).Set(240)
+	k.Gauge(MGoHeapGoal).Set(24 << 20)
+	k.Gauge(MGoHeapLive).Set(7 << 20)
+	k.Gauge(MGoAllocRate).Set(90 << 20)
 	for _, v := range []uint64{1, 3, 9, 100, 5000, 5001, 1 << 20} {
 		k.Histogram(MGCPause).Observe(v)
 	}
@@ -39,7 +44,9 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	// Spot-check families that must be present, with the dotted metric
 	// names mapped to legal Prometheus names.
 	for _, want := range []string{"kaffeos_proc_created", "kaffeos_cpu_cycles",
-		"kaffeos_gc_pause_cycles", "kaffeos_trace_dropped", "kaffeos_span_dropped"} {
+		"kaffeos_gc_pause_cycles", "kaffeos_trace_dropped", "kaffeos_span_dropped",
+		"kaffeos_go_gc_percent", "kaffeos_go_heap_goal_bytes", "kaffeos_go_heap_live_bytes",
+		"kaffeos_go_alloc_bytes_per_s"} {
 		if _, ok := typeOf[want]; !ok {
 			t.Errorf("family %q missing from exposition", want)
 		}

@@ -72,17 +72,17 @@ func CyclesToNs(cycles uint64) int64 { return int64(cycles) * 2 }
 const DefaultSpanRing = 1 << 12
 
 // SpanRecorder retains the last N completed request spans in a bounded
-// ring, mints request ids, and counts what fell off. Recording is opt-in:
-// when disabled, the serving plane skips span allocation entirely, so the
-// steady-state cost is one atomic load per accepted request and one nil
-// check per scheduler dispatch.
+// ring (grown on first use, like the tracer's), mints request ids, and
+// counts what fell off. Recording is opt-in: when disabled, the serving
+// plane skips span allocation entirely, so the steady-state cost is one
+// atomic load per accepted request and one nil check per scheduler
+// dispatch.
 type SpanRecorder struct {
 	enabled atomic.Bool
 	nextID  atomic.Uint64
 
-	mu    sync.Mutex
-	buf   []Span
-	total uint64
+	mu sync.Mutex
+	r  ring[Span]
 }
 
 // NewSpanRecorder creates a recorder holding up to capacity spans
@@ -91,7 +91,7 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanRing
 	}
-	return &SpanRecorder{buf: make([]Span, capacity)}
+	return &SpanRecorder{r: newRing[Span](capacity)}
 }
 
 // SetEnabled switches span recording on or off.
@@ -106,8 +106,7 @@ func (r *SpanRecorder) NextID() uint64 { return r.nextID.Add(1) }
 // Record appends a completed span to the ring.
 func (r *SpanRecorder) Record(sp Span) {
 	r.mu.Lock()
-	r.buf[r.total%uint64(len(r.buf))] = sp
-	r.total++
+	r.r.push(sp)
 	r.mu.Unlock()
 }
 
@@ -115,42 +114,25 @@ func (r *SpanRecorder) Record(sp Span) {
 func (r *SpanRecorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.r.total
 }
 
 // Capacity reports the ring size.
-func (r *SpanRecorder) Capacity() int { return len(r.buf) }
+func (r *SpanRecorder) Capacity() int { return r.r.limit }
 
 // Dropped reports how many spans fell off the ring. Like trace.dropped, a
 // nonzero value means the retained window is truncated, not complete.
 func (r *SpanRecorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.buf)) {
-		return 0
-	}
-	return r.total - uint64(len(r.buf))
+	return r.r.dropped()
 }
 
 // Snapshot returns the retained spans, oldest first.
 func (r *SpanRecorder) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshotLocked()
-}
-
-func (r *SpanRecorder) snapshotLocked() []Span {
-	cap64 := uint64(len(r.buf))
-	if r.total > cap64 {
-		out := make([]Span, 0, cap64)
-		start := r.total % cap64
-		out = append(out, r.buf[start:]...)
-		out = append(out, r.buf[:start]...)
-		return out
-	}
-	out := make([]Span, r.total)
-	copy(out, r.buf[:r.total])
-	return out
+	return r.r.snapshot()
 }
 
 // ForRoute returns the most recent spans of one route, oldest first, up

@@ -14,10 +14,10 @@ const DefaultRingSize = 1 << 16
 // a mutex (the scheduler's host goroutine is the main producer; pollers
 // and tests may emit concurrently); when the ring is full the oldest
 // events are overwritten, so a trace always holds the most recent window.
+// The ring grows on first use, so a VM that never traces holds no events.
 type Tracer struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64 // events ever appended; Seq of the next event
+	mu sync.Mutex
+	r  ring[Event] // r.total is the Seq of the next event
 }
 
 // NewTracer creates a tracer holding up to capacity events
@@ -26,15 +26,14 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{r: newRing[Event](capacity)}
 }
 
 // Append records an event, assigning its sequence number, and reports it.
 func (tr *Tracer) Append(e Event) Event {
 	tr.mu.Lock()
-	e.Seq = tr.total
-	tr.buf[tr.total%uint64(len(tr.buf))] = e
-	tr.total++
+	e.Seq = tr.r.total
+	tr.r.push(e)
 	tr.mu.Unlock()
 	return e
 }
@@ -44,39 +43,24 @@ func (tr *Tracer) Append(e Event) Event {
 func (tr *Tracer) Total() uint64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.total
+	return tr.r.total
 }
 
 // Capacity reports the ring size.
-func (tr *Tracer) Capacity() int { return len(tr.buf) }
+func (tr *Tracer) Capacity() int { return tr.r.limit }
 
 // Dropped reports how many events fell off the ring.
 func (tr *Tracer) Dropped() uint64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if tr.total <= uint64(len(tr.buf)) {
-		return 0
-	}
-	return tr.total - uint64(len(tr.buf))
+	return tr.r.dropped()
 }
 
 // Snapshot returns the retained events, oldest first.
 func (tr *Tracer) Snapshot() []Event {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	n := tr.total
-	cap64 := uint64(len(tr.buf))
-	if n > cap64 {
-		// Wrapped: the oldest retained event is at total%cap.
-		out := make([]Event, 0, cap64)
-		start := n % cap64
-		out = append(out, tr.buf[start:]...)
-		out = append(out, tr.buf[:start]...)
-		return out
-	}
-	out := make([]Event, n)
-	copy(out, tr.buf[:n])
-	return out
+	return tr.r.snapshot()
 }
 
 // MarshalEvent renders one event as a JSON object with kind-specific
