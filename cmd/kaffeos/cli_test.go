@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -9,6 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/bytecode"
 )
 
 // kaffeosBin is the command under test, built once by TestMain so each
@@ -108,5 +112,126 @@ func TestRunReportsResultAndDeath(t *testing.T) {
 	}
 	if code != 1 {
 		t.Errorf("exit %d, want 1: a process died", code)
+	}
+}
+
+// dis prints a module in the assembler's format (bytecode.DisassembleModule).
+func TestDisGolden(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "dis", "testdata/alloc.kasm")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	golden(t, "alloc-dis.golden", stdout)
+}
+
+// run and serve take the same engine names, and run takes every write
+// barrier with each of them. An unknown name fails with one "kaffeos:"
+// prefix.
+func TestEngineAndBarrierNames(t *testing.T) {
+	for _, engine := range []string{"interp", "interp-spill", "jit-opt"} {
+		for _, bar := range []string{"NoWriteBarrier", "HeapPointer", "NoHeapPointer", "FakeHeapPointer"} {
+			_, stderr, code := runCLI(t, "run", "-engine", engine, "-barrier", bar, "testdata/alloc.kasm")
+			if code != 0 || stderr != "kaffeos: testdata/alloc.kasm: exited (result 3000)\n" {
+				t.Errorf("run -engine %s -barrier %s: exit %d\n%s", engine, bar, code, stderr)
+			}
+		}
+		t.Run("serve/"+engine, func(t *testing.T) { serveUntilInterrupt(t, engine) })
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-engine", "warp", "testdata/alloc.kasm"}, `unknown engine "warp"`},
+		{[]string{"serve", "-engine", "warp", "-addr", "127.0.0.1:0", "-routes", "/zone0", "-shards", "1"}, `unknown engine "warp"`},
+		{[]string{"run", "-barrier", "psychic", "testdata/alloc.kasm"}, `unknown write barrier "psychic"`},
+	} {
+		_, stderr, code := runCLI(t, tc.args...)
+		if code != 1 || !strings.HasPrefix(stderr, "kaffeos: ") ||
+			strings.Count(stderr, "kaffeos:") != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("kaffeos %s: exit %d, stderr %q; want exit 1 and one kaffeos: prefix on %s",
+				strings.Join(tc.args, " "), code, stderr, tc.want)
+		}
+	}
+}
+
+// serveUntilInterrupt starts a one-route plane on engine, waits until it
+// serves, interrupts it, and checks it shut down with a clean audit.
+func serveUntilInterrupt(t *testing.T, engine string) {
+	cmd := exec.Command(kaffeosBin, "serve", "-engine", engine,
+		"-addr", "127.0.0.1:0", "-routes", "/zone0", "-shards", "1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.AfterFunc(30*time.Second, func() { _ = cmd.Process.Kill() })
+	defer deadline.Stop()
+	var log strings.Builder
+	lines := bufio.NewScanner(stderr)
+	for lines.Scan() {
+		log.WriteString(lines.Text() + "\n")
+		if strings.Contains(lines.Text(), "serving on") {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmd.Wait(); err != nil || !strings.Contains(log.String(), "post-shutdown audit ok") {
+		t.Errorf("serve -engine %s: %v\n%s", engine, err, log.String())
+	}
+}
+
+// The entry rule: without -main, the first class with a static main()V or
+// main()I; with -main, that class's first static main()V, main()I, run()I
+// or run()V.
+func TestFindMain(t *testing.T) {
+	mod := bytecode.MustAssemble(`
+.class app/Helper
+.method run ()I static
+.locals 0
+.stack 1
+	iconst 9
+	ireturn
+.end
+.end
+.class app/Worker
+.method run ()V
+.locals 1
+.stack 0
+	return
+.end
+.end
+.class app/Main
+.method main ()I static
+.locals 0
+.stack 1
+	iconst 1
+	ireturn
+.end
+.method main ()V static
+.locals 0
+.stack 0
+	return
+.end
+.end
+.class app/None
+.end`)
+	for _, tc := range []struct{ class, wantCls, wantKey string }{
+		{"", "app/Main", "main()V"},
+		{"app/Main", "app/Main", "main()V"},
+		{"app/Helper", "app/Helper", "run()I"},
+		{"app/Worker", "", ""}, // run()V is not static
+		{"app/None", "", ""},
+		{"app/Missing", "", ""},
+	} {
+		cls, key, err := findMain(mod, tc.class)
+		if cls != tc.wantCls || key != tc.wantKey || (err == nil) != (tc.wantKey != "") {
+			t.Errorf("findMain(%q) = %q, %q, %v; want %q, %q", tc.class, cls, key, err, tc.wantCls, tc.wantKey)
+		}
+	}
+	if _, _, err := findMain(bytecode.MustAssemble(".class app/None\n.end"), ""); err == nil {
+		t.Error("found an entry point in a module without main")
 	}
 }

@@ -37,14 +37,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/audit"
+	"repro/internal/barrier"
 	"repro/internal/bytecode"
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/interp"
 	"repro/internal/telemetry"
-	"repro/kaffeos"
 )
 
 func main() {
@@ -81,6 +86,32 @@ func usage() {
 	os.Exit(2)
 }
 
+// engineUsage is the -engine help of every subcommand that takes it.
+const engineUsage = "execution engine: interp | interp-spill | jit-opt"
+
+// vmConfig is the VM configuration every subcommand starts from: the
+// named engine and write barrier ("" selects core's default for either)
+// and, when faultSpec is set, an armed fault-injection plane. core.NewVM
+// rejects an unknown engine.
+func vmConfig(engine, barrierName, faultSpec string) (core.Config, error) {
+	cfg := core.Config{Engine: core.EngineKind(engine)}
+	if barrierName != "" {
+		b, ok := barrier.ByName(barrierName)
+		if !ok {
+			return core.Config{}, fmt.Errorf("unknown write barrier %q", barrierName)
+		}
+		cfg.Barrier = b
+	}
+	if faultSpec != "" {
+		plan, err := faults.ParsePlan(faultSpec)
+		if err != nil {
+			return core.Config{}, err
+		}
+		cfg.Faults = faults.NewPlane(plan)
+	}
+	return cfg, nil
+}
+
 // runFlags are the flags shared by run, ps and top.
 type runFlags struct {
 	mainClass *string
@@ -88,7 +119,6 @@ type runFlags struct {
 	engine    *string
 	barrier   *string
 	cpuMS     *int
-	gcWorkers *int
 	trace     *string
 	httpAddr  *string
 	faults    *string
@@ -98,10 +128,9 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 	return &runFlags{
 		mainClass: fs.String("main", "", "entry class (default: first class with main)"),
 		memKB:     fs.Int("mem", 16384, "per-process memory limit in KiB"),
-		engine:    fs.String("engine", "jit-opt", "execution engine: interp | jit-opt"),
+		engine:    fs.String("engine", "jit-opt", engineUsage),
 		barrier:   fs.String("barrier", "NoHeapPointer", "write barrier: NoWriteBarrier | HeapPointer | NoHeapPointer | FakeHeapPointer"),
 		cpuMS:     fs.Int("cpu", 0, "per-process CPU limit in virtual milliseconds (0 = unlimited)"),
-		gcWorkers: fs.Int("gcworkers", 0, "GC worker pool for collecting process heaps concurrently (0 = GOMAXPROCS)"),
 		trace:     fs.String("trace", "", "dump the kernel event trace to this file as JSON lines at exit"),
 		httpAddr:  fs.String("http", "", "serve the telemetry HTTP endpoint on this address (e.g. :8080)"),
 		faults:    fs.String("faults", "", `arm deterministic fault injection with this plan (e.g. "seed=7,all=0.01")`),
@@ -109,33 +138,32 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 }
 
 type job struct {
-	proc *kaffeos.Process
-	th   *kaffeos.Thread
+	proc *core.Process
+	th   *interp.Thread
 	file string
 }
 
 // setup builds the VM and one process per program file, applying the
 // shared run/ps/top flags (tracing on when -trace is set, HTTP endpoint
 // when -http is set).
-func setup(rf *runFlags, files []string) (*kaffeos.VM, []job, error) {
+func setup(rf *runFlags, files []string) (*core.VM, []job, error) {
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("no program files")
 	}
-	vm, err := kaffeos.New(kaffeos.Config{
-		Engine:    kaffeos.Engine(*rf.engine),
-		Barrier:   kaffeos.WriteBarrier(*rf.barrier),
-		GCWorkers: *rf.gcWorkers,
-		Stdout:    os.Stdout,
-		Faults:    *rf.faults,
-	})
+	cfg, err := vmConfig(*rf.engine, *rf.barrier, *rf.faults)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Stdout = os.Stdout
+	vm, err := core.NewVM(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if *rf.trace != "" {
-		vm.SetTracing(true)
+		vm.Tel.SetTracing(true)
 	}
 	if *rf.httpAddr != "" {
-		addr, err := vm.ServeTelemetry(*rf.httpAddr)
+		addr, err := telemetry.Serve(*rf.httpAddr, []telemetry.Source{vm.TelemetrySource()})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -152,24 +180,21 @@ func setup(rf *runFlags, files []string) (*kaffeos.VM, []job, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", file, err)
 		}
-		entry := *rf.mainClass
-		if entry == "" {
-			entry = findMain(mod)
-			if entry == "" {
-				return nil, nil, fmt.Errorf("%s: no class with a static main method", file)
-			}
+		cls, key, err := findMain(mod, *rf.mainClass)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", file, err)
 		}
-		p, err := vm.NewProcess(file, kaffeos.ProcessConfig{
+		p, err := vm.NewProcess(file, core.ProcessOptions{
 			MemLimit: uint64(*rf.memKB) << 10,
-			CPULimit: uint64(*rf.cpuMS) * 500_000,
+			CPULimit: uint64(*rf.cpuMS) * telemetry.CyclesPerMs,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := p.LoadModule(mod); err != nil {
+		if err := p.Load(mod); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", file, err)
 		}
-		th, err := p.Start(entry)
+		th, err := p.Spawn(cls, key)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", file, err)
 		}
@@ -179,7 +204,7 @@ func setup(rf *runFlags, files []string) (*kaffeos.VM, []job, error) {
 }
 
 // finish writes the -trace dump, if requested.
-func finish(vm *kaffeos.VM, rf *runFlags) error {
+func finish(vm *core.VM, rf *runFlags) error {
 	if *rf.trace == "" {
 		return nil
 	}
@@ -188,7 +213,7 @@ func finish(vm *kaffeos.VM, rf *runFlags) error {
 		return err
 	}
 	defer f.Close()
-	tr := vm.Telemetry().Trace
+	tr := vm.Tel.Trace
 	if err := tr.WriteJSONL(f); err != nil {
 		return err
 	}
@@ -199,8 +224,8 @@ func finish(vm *kaffeos.VM, rf *runFlags) error {
 
 // printStats writes the stable, greppable -stats report: one "proc" line
 // and one "gc-pause" line per process, then kernel-wide lines.
-func printStats(vm *kaffeos.VM) {
-	hub := vm.Telemetry()
+func printStats(vm *core.VM) {
+	hub := vm.Tel
 	snap := vm.Snapshot()
 	for _, r := range snap.Procs {
 		fmt.Fprintf(os.Stderr,
@@ -213,7 +238,7 @@ func printStats(vm *kaffeos.VM) {
 	kernel := hub.Reg.Kernel()
 	fmt.Fprintf(os.Stderr, "gc-pause pid=0 %s\n", kernel.Histogram(telemetry.MGCPause).Summary())
 	fmt.Fprintf(os.Stderr, "barrier checks=%d violations=%d\n",
-		vm.BarriersExecuted(), kernel.Counter(telemetry.MViolations).Value())
+		vm.Stats.Executed.Load(), kernel.Counter(telemetry.MViolations).Value())
 	fmt.Fprintf(os.Stderr, "memlimit failures=%d\n", kernel.Counter(telemetry.MMemFailures).Value())
 	fmt.Fprintf(os.Stderr, "gc-fastpath hits=%d misses=%d overlap=%d\n",
 		snap.GCFastHits, snap.GCFastMisses, snap.GCOverlap)
@@ -232,7 +257,7 @@ func runCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := vm.Run(); err != nil {
+	if err := vm.Run(0); err != nil {
 		return err
 	}
 	if *stats {
@@ -243,15 +268,20 @@ func runCmd(args []string) error {
 	}
 	exitCode := 0
 	for _, j := range jobs {
+		p := j.proc
 		switch {
-		case j.proc.Exited():
+		case p.State() == core.ProcReclaimed && p.ExitError() == nil && p.Uncaught() == nil:
 			fmt.Fprintf(os.Stderr, "kaffeos: %s: exited", j.file)
-			if j.th.Done() && j.th.Err() == nil {
-				fmt.Fprintf(os.Stderr, " (result %d)", j.th.Result())
+			if !j.th.Alive() && j.th.Err == nil {
+				fmt.Fprintf(os.Stderr, " (result %d)", j.th.Result.I)
 			}
 			fmt.Fprintln(os.Stderr)
 		default:
-			fmt.Fprintf(os.Stderr, "kaffeos: %s: died: %s\n", j.file, j.proc.FailureClass())
+			died := ""
+			if u := p.Uncaught(); u != nil {
+				died = u.Class.Name
+			}
+			fmt.Fprintf(os.Stderr, "kaffeos: %s: died: %s\n", j.file, died)
 			if *rf.faults == "" {
 				// Under fault injection, dying processes are the point;
 				// only broken invariants (below) fail the run.
@@ -260,9 +290,9 @@ func runCmd(args []string) error {
 		}
 	}
 	if *rf.faults != "" {
-		vm.GCAll()
+		vm.CollectAll()
 		rep := vm.Audit(true)
-		fmt.Fprintf(os.Stderr, "kaffeos: %s\n", vm.FaultSummary())
+		fmt.Fprintf(os.Stderr, "kaffeos: %s\n", vm.Cfg.Faults.Summary())
 		fmt.Fprintf(os.Stderr, "kaffeos: %s\n", rep)
 		if !rep.OK() {
 			exitCode = 1
@@ -287,7 +317,7 @@ func psCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := vm.RunFor(uint64(*forMS) * 500_000); err != nil {
+	if err := vm.Run(uint64(*forMS) * telemetry.CyclesPerMs); err != nil {
 		return err
 	}
 	telemetry.RenderTable(os.Stdout, vm.Snapshot())
@@ -312,14 +342,14 @@ func topCmd(args []string) error {
 	}
 	for {
 		before := vm.Snapshot().NowCycles
-		if err := vm.RunFor(uint64(*intervalMS) * 500_000); err != nil {
+		if err := vm.Run(uint64(*intervalMS) * telemetry.CyclesPerMs); err != nil {
 			return err
 		}
 		snap := vm.Snapshot()
 		fmt.Printf("--- t=%dms (%d cycles) kernel-gcs=%d ---\n",
 			snap.NowMillis, snap.NowCycles, snap.KernelGCs)
 		telemetry.RenderTable(os.Stdout, snap)
-		if d := vm.Telemetry().Trace.Dropped(); d > 0 {
+		if d := vm.Tel.Trace.Dropped(); d > 0 {
 			// A wrapped ring means the retained trace is a window, not the
 			// whole run — never let a truncated trace read as complete.
 			fmt.Printf("warning: trace ring overflowed, %d events dropped (trace is truncated)\n", d)
@@ -331,15 +361,35 @@ func topCmd(args []string) error {
 	return finish(vm, rf)
 }
 
-func findMain(mod *bytecode.Module) string {
+// entryKeys are the static methods a program may start from, in the order
+// they are tried. A main method marks a class as the entry class; a class
+// named by -main may also start from a static run method.
+var entryKeys = []string{"main()V", "main()I", "run()I", "run()V"}
+
+// findMain picks the entry point of mod: without class, the first class
+// with a static main()V or main()I; with class, that class's first static
+// method among entryKeys.
+func findMain(mod *bytecode.Module, class string) (cls, key string, err error) {
+	keys := entryKeys[:2]
+	if class != "" {
+		keys = entryKeys
+	}
 	for _, c := range mod.Classes {
-		for _, m := range c.Methods {
-			if m.Name == "main" && m.Static && (m.Sig == "()V" || m.Sig == "()I") {
-				return c.Name
+		if class != "" && c.Name != class {
+			continue
+		}
+		for _, k := range keys {
+			for _, m := range c.Methods {
+				if m.Static && m.Name+m.Sig == k {
+					return c.Name, k, nil
+				}
 			}
 		}
 	}
-	return ""
+	if class == "" {
+		return "", "", errors.New("no class with a static main method")
+	}
+	return "", "", fmt.Errorf("%s has no static entry method (%s)", class, strings.Join(entryKeys, ", "))
 }
 
 func checkCmd(args []string) error {
@@ -557,75 +607,75 @@ func checkSweep(n int, spec string, files []string) error {
 // onto the workload, kill the origin — so fork.copy and friends get
 // injected into alongside the classic sites.
 func checkSeed(seed int, spec string, progs []checkProg) (string, *audit.Report, error) {
-	plan := fmt.Sprintf("seed=%d,%s", seed, spec)
+	cfg, err := vmConfig(string(core.EngineJITOpt), "", fmt.Sprintf("seed=%d,%s", seed, spec))
+	if err != nil {
+		return "", nil, err
+	}
 	// MemBudget arms the memory-balancer controller so the sweep
 	// exercises the membal.rebalance fault site alongside the rest;
 	// the tight interval (one quantum) gets rebalance rounds even into
 	// runs that injected faults cut short.
-	// CodeCache (with the default jit-opt engine) puts the
-	// codecache.attach site on every process creation and module load,
-	// so the sweep injects into attach unwinds too.
-	vm, err := kaffeos.New(kaffeos.Config{
-		Faults: plan, MemBudget: 48 << 20, MemBalInterval: 100_000,
-		Engine: kaffeos.JITOpt, CodeCache: true,
-	})
+	// CodeCache (with the jit-opt engine) puts the codecache.attach site
+	// on every process creation and module load, so the sweep injects
+	// into attach unwinds too.
+	cfg.MemBudget, cfg.MemBalInterval, cfg.CodeCache = 48<<20, 100_000, true
+	vm, err := core.NewVM(cfg)
 	if err != nil {
 		return "", nil, err
 	}
+	opts := core.ProcessOptions{MemLimit: 16 << 20}
+	// start loads mod into a fresh or forked process and spawns its entry
+	// method. Every step may fail on an injected fault; that is fine.
+	start := func(p *core.Process, mod *bytecode.Module) {
+		if p.Load(mod) != nil {
+			return // process killed by a fault mid-load
+		}
+		if cls, key, err := findMain(mod, ""); err == nil {
+			_, _ = p.Spawn(cls, key)
+		}
+	}
 	for _, pr := range progs {
-		entry := findMain(pr.mod)
-		if entry == "" {
-			return "", nil, fmt.Errorf("%s: no class with a static main method", pr.name)
+		if _, _, err := findMain(pr.mod, ""); err != nil {
+			return "", nil, fmt.Errorf("%s: %w", pr.name, err)
 		}
-		p, err := vm.NewProcess(pr.name, kaffeos.ProcessConfig{MemLimit: 16 << 20})
-		if err != nil {
-			continue // injected allocation failure at creation: fine
-		}
-		if err := p.LoadModule(pr.mod); err != nil {
-			continue // process killed by a fault mid-load: fine
-		}
-		if _, err := p.Start(entry); err != nil {
-			continue // ditto at main-thread spawn
+		if p, err := vm.NewProcess(pr.name, opts); err == nil {
+			start(p, pr.mod)
 		}
 	}
 	// Template churn: every step may die of an injected fault (that is
 	// the point), but whatever survives must keep the books exact. An
 	// attempt killed mid-warmup or mid-copy still exercised the unwind
 	// paths; retry a few times so most seeds also fork successfully.
+	warm := bytecode.MustAssemble(sweepWarmSource)
 	for attempt := 0; attempt < 3; attempt++ {
-		zygote, err := vm.NewProcess("zygote", kaffeos.ProcessConfig{MemLimit: 16 << 20})
+		zygote, err := vm.NewProcess("zygote", opts)
 		if err != nil {
 			continue // injected allocation failure at creation: fine
 		}
-		if err := zygote.LoadSource(sweepWarmSource); err != nil {
-			zygote.Kill() // warmup died of an injected fault: fine
+		if err := zygote.Load(warm); err != nil {
+			zygote.Kill(nil) // warmup died of an injected fault: fine
 			continue
 		}
 		tpl, err := vm.Checkpoint(zygote, "sweep")
-		zygote.Kill()
+		zygote.Kill(nil)
 		if err != nil {
 			continue // checkpoint copy faulted and unwound: fine
 		}
 		for i := 0; i < 2; i++ {
-			clone, err := tpl.Fork(fmt.Sprintf("clone-%d", i), kaffeos.ProcessConfig{MemLimit: 16 << 20})
-			if err != nil {
-				continue // fork.copy fault unwound the clone: fine
+			if clone, err := tpl.Fork(fmt.Sprintf("clone-%d", i), opts); err == nil {
+				start(clone, progs[0].mod)
 			}
-			if err := clone.LoadModule(progs[0].mod); err != nil {
-				continue
-			}
-			_, _ = clone.Start(findMain(progs[0].mod))
 		}
 		if seed%2 == 0 {
 			_ = tpl.Release() // odd seeds audit with the template live
 		}
 		break
 	}
-	if err := vm.Run(); err != nil {
+	if err := vm.Run(0); err != nil {
 		return "", nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	vm.GCAll()
-	return vm.FaultSummary(), vm.Audit(true), nil
+	vm.CollectAll()
+	return vm.Cfg.Faults.Summary(), vm.Audit(true), nil
 }
 
 func disCmd(args []string) error {
@@ -641,34 +691,7 @@ func disCmd(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", file, err)
 		}
-		for _, c := range mod.Classes {
-			if c.Super != "" {
-				fmt.Printf(".class %s extends %s\n", c.Name, c.Super)
-			} else {
-				fmt.Printf(".class %s\n", c.Name)
-			}
-			for _, f := range c.Fields {
-				kw := ".field"
-				if f.Static {
-					kw = ".static"
-				}
-				fmt.Printf("%s %s %s\n", kw, f.Name, f.Desc)
-			}
-			for _, m := range c.Methods {
-				mod := ""
-				if m.Static {
-					mod = " static"
-				}
-				if m.Code == nil {
-					fmt.Printf(".method %s %s%s native\n.end\n", m.Name, m.Sig, mod)
-					continue
-				}
-				fmt.Printf(".method %s %s%s\n.locals %d\n.stack %d\n", m.Name, m.Sig, mod, m.MaxLocals, m.MaxStack)
-				fmt.Print(bytecode.Disassemble(m.Code))
-				fmt.Println(".end")
-			}
-			fmt.Println(".end")
-		}
+		fmt.Print(bytecode.DisassembleModule(mod))
 	}
 	return nil
 }

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/serve"
 )
 
@@ -29,7 +27,7 @@ func serveCmd(args []string) error {
 	work := fs.Int("work", 100, "per-request servlet work units")
 	queueMax := fs.Int("queue", 0, "per-tenant request queue bound (0 = default 64)")
 	inflight := fs.Int("inflight", 0, "per-tenant concurrent requests (0 = default 8)")
-	engine := fs.String("engine", "jit-opt", "execution engine: interp | jit-opt")
+	engine := fs.String("engine", "jit-opt", engineUsage)
 	codeCache := fs.Bool("codecache", false,
 		"share JIT-compiled code across tenant processes: one content-addressed\n"+
 			"artifact per (module, engine) pair, each sharer charged its full size")
@@ -55,14 +53,11 @@ func serveCmd(args []string) error {
 		tenants[i].QueueMax = *queueMax
 		tenants[i].MaxInflight = *inflight
 	}
-	var plane *faults.Plane
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec)
-		if err != nil {
-			return err
-		}
-		plane = faults.NewPlane(plan)
+	vmCfg, err := vmConfig(*engine, "", *faultSpec)
+	if err != nil {
+		return err
 	}
+	vmCfg.CodeCache = *codeCache
 	if *flightDir != "" {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 			return err
@@ -76,7 +71,7 @@ func serveCmd(args []string) error {
 		}
 	}
 	srv, err := serve.NewSharded(
-		core.Config{Engine: core.EngineKind(*engine), Faults: plane, CodeCache: *codeCache},
+		vmCfg,
 		serve.Config{Shards: *shards, Place: serve.LeastLoaded, FlightDir: *flightDir, MemBudget: budget},
 		tenants)
 	if err != nil {
@@ -94,6 +89,10 @@ func serveCmd(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "kaffeos: telemetry on http://%s (/metrics /procs /ps /spans /trace /audit /debug/pprof)\n", bound)
 	}
+	// Catch the signal before serving, so an interrupt that arrives as
+	// soon as the address is announced still shuts down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return err
@@ -102,9 +101,6 @@ func serveCmd(args []string) error {
 	for _, row := range srv.Rows() {
 		fmt.Fprintf(os.Stderr, "kaffeos:   %-16s %-8s shard %d\n", row.Route, row.Role, row.Shard)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "kaffeos: shutting down")
 	if err := srv.Close(); err != nil {

@@ -12,7 +12,8 @@ import (
 	"log"
 	"os"
 
-	"repro/kaffeos"
+	"repro/internal/bytecode"
+	"repro/internal/core"
 )
 
 // Shared array layout: [0] next unclaimed slot, [1] unused, [2..17] data.
@@ -149,27 +150,25 @@ OUT:	getstatic java/lang/System.out Ljava/io/PrintStream;
 .end`
 
 func main() {
-	vm, err := kaffeos.New(kaffeos.Config{Stdout: os.Stdout})
+	vm, err := core.NewVM(core.Config{Stdout: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := vm.RegisterProgram("worker", workerSrc); err != nil {
-		log.Fatal(err)
-	}
-	parent, err := vm.NewProcess("parent", kaffeos.ProcessConfig{MemLimit: 1 << 20})
+	vm.RegisterProgram("worker", bytecode.MustAssemble(workerSrc))
+	parent, err := vm.NewProcess("parent", core.ProcessOptions{MemLimit: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := parent.LoadSource(parentSrc); err != nil {
+	if err := parent.Load(bytecode.MustAssemble(parentSrc)); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := parent.Start("app/Parent"); err != nil {
+	if _, err := parent.Spawn("app/Parent", "main()V"); err != nil {
 		log.Fatal(err)
 	}
-	if err := vm.Run(); err != nil {
+	if err := vm.Run(0); err != nil {
 		log.Fatal(err)
 	}
 	// Expected: sum of n^3 for n in 2..17 = (17*18/2)^2 - 1 = 23408.
 	fmt.Printf("(expected 23408; all worker processes reclaimed, kernel heap %d bytes)\n",
-		vm.KernelHeapBytes())
+		vm.KernelHeap.Bytes())
 }

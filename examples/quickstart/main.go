@@ -7,7 +7,8 @@ import (
 	"log"
 	"os"
 
-	"repro/kaffeos"
+	"repro/internal/bytecode"
+	"repro/internal/core"
 )
 
 const program = `
@@ -48,51 +49,48 @@ L0:	goto L0
 .end
 .end`
 
+// start runs src's class cls from its static main()V in a new process
+// limited to 1 MiB.
+func start(vm *core.VM, name, src, cls string) *core.Process {
+	p, err := vm.NewProcess(name, core.ProcessOptions{MemLimit: 1 << 20})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := p.Load(bytecode.MustAssemble(src)); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := p.Spawn(cls, "main()V"); err != nil {
+		log.Fatal(err)
+	}
+	return p
+}
+
 func main() {
-	vm, err := kaffeos.New(kaffeos.Config{Stdout: os.Stdout})
+	vm, err := core.NewVM(core.Config{Stdout: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// An ordinary process: runs to completion, memory fully reclaimed.
-	worker, err := vm.NewProcess("worker", kaffeos.ProcessConfig{MemLimit: 1 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := worker.LoadSource(program); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := worker.Start("app/Main"); err != nil {
-		log.Fatal(err)
-	}
-
+	worker := start(vm, "worker", program, "app/Main")
 	// A runaway process: spins forever until we kill it.
-	runaway, err := vm.NewProcess("runaway", kaffeos.ProcessConfig{MemLimit: 1 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := runaway.LoadSource(spinner); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := runaway.Start("app/Spin"); err != nil {
-		log.Fatal(err)
-	}
+	runaway := start(vm, "runaway", spinner, "app/Spin")
 
 	// Give both some CPU (simulated cycles), then inspect.
-	if err := vm.RunFor(5_000_000); err != nil {
+	if err := vm.Run(5_000_000); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("worker:  alive=%v cpu=%d cycles, mem=%d bytes\n",
-		worker.Alive(), worker.CPUCycles(), worker.MemUse())
+		worker.State() == core.ProcRunning, worker.CPUCycles(), worker.MemUse())
 	fmt.Printf("runaway: alive=%v cpu=%d cycles, mem=%d bytes\n",
-		runaway.Alive(), runaway.CPUCycles(), runaway.MemUse())
+		runaway.State() == core.ProcRunning, runaway.CPUCycles(), runaway.MemUse())
 
 	// The runaway is uncooperative; kill it. Its heap merges into the
 	// kernel heap and the next kernel GC reclaims everything.
-	runaway.Kill()
-	if err := vm.Run(); err != nil {
+	runaway.Kill(nil)
+	if err := vm.Run(0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after kill: runaway alive=%v, kernel heap=%d bytes\n",
-		runaway.Alive(), vm.KernelHeapBytes())
+		runaway.State() == core.ProcRunning, vm.KernelHeap.Bytes())
 }

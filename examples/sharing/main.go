@@ -15,7 +15,8 @@ import (
 	"log"
 	"os"
 
-	"repro/kaffeos"
+	"repro/internal/bytecode"
+	"repro/internal/core"
 )
 
 const producerSrc = `
@@ -156,50 +157,38 @@ T1:	pop
 .end
 .end`
 
+// start runs src's class cls from its static main()V in a new process
+// limited to 1 MiB.
+func start(vm *core.VM, name, src, cls string) *core.Process {
+	p, err := vm.NewProcess(name, core.ProcessOptions{MemLimit: 1 << 20})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := p.Load(bytecode.MustAssemble(src)); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := p.Spawn(cls, "main()V"); err != nil {
+		log.Fatal(err)
+	}
+	return p
+}
+
 func main() {
-	vm, err := kaffeos.New(kaffeos.Config{Stdout: os.Stdout})
+	vm, err := core.NewVM(core.Config{Stdout: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
-	producer, err := vm.NewProcess("producer", kaffeos.ProcessConfig{MemLimit: 1 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := producer.LoadSource(producerSrc); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := producer.Start("app/Producer"); err != nil {
-		log.Fatal(err)
-	}
+	producer := start(vm, "producer", producerSrc, "app/Producer")
 	// Let the producer create and freeze the heap.
-	if err := vm.RunFor(3_000_000); err != nil {
+	if err := vm.Run(3_000_000); err != nil {
 		log.Fatal(err)
 	}
+	start(vm, "consumer", consumerSrc, "app/Consumer")
+	start(vm, "intruder", intruderSrc, "app/Intruder")
 
-	consumer, err := vm.NewProcess("consumer", kaffeos.ProcessConfig{MemLimit: 1 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := consumer.LoadSource(consumerSrc); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := consumer.Start("app/Consumer"); err != nil {
-		log.Fatal(err)
-	}
-	intruder, err := vm.NewProcess("intruder", kaffeos.ProcessConfig{MemLimit: 1 << 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := intruder.LoadSource(intruderSrc); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := intruder.Start("app/Intruder"); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := vm.Run(); err != nil {
+	if err := vm.Run(0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nall processes exited; producer residual charge: %d bytes\n", producer.MemUse())
-	fmt.Printf("orphaned shared heap reclaimed; kernel heap: %d bytes\n", vm.KernelHeapBytes())
+	fmt.Printf("orphaned shared heap reclaimed; kernel heap: %d bytes\n", vm.KernelHeap.Bytes())
 }

@@ -64,6 +64,42 @@ func Disassemble(code *Code) string {
 	return b.String()
 }
 
+// DisassembleModule renders a whole module in the textual form accepted
+// by Assemble: each class with its fields, then its methods through
+// Disassemble. Reassembling the text yields an equivalent module.
+func DisassembleModule(mod *Module) string {
+	var b strings.Builder
+	for _, c := range mod.Classes {
+		if c.Super != "" {
+			fmt.Fprintf(&b, ".class %s extends %s\n", c.Name, c.Super)
+		} else {
+			fmt.Fprintf(&b, ".class %s\n", c.Name)
+		}
+		for _, fd := range c.Fields {
+			kw := ".field"
+			if fd.Static {
+				kw = ".static"
+			}
+			fmt.Fprintf(&b, "%s %s %s\n", kw, fd.Name, fd.Desc)
+		}
+		for _, m := range c.Methods {
+			mods := ""
+			if m.Static {
+				mods = " static"
+			}
+			if m.Code == nil {
+				fmt.Fprintf(&b, ".method %s %s%s native\n.end\n", m.Name, m.Sig, mods)
+				continue
+			}
+			fmt.Fprintf(&b, ".method %s %s%s\n.locals %d\n.stack %d\n", m.Name, m.Sig, mods, m.MaxLocals, m.MaxStack)
+			b.WriteString(Disassemble(m.Code))
+			b.WriteString(".end\n")
+		}
+		b.WriteString(".end\n")
+	}
+	return b.String()
+}
+
 func formatConstOperand(code *Code, idx int32) string {
 	k, err := code.Const(idx)
 	if err != nil {

@@ -1,10 +1,6 @@
 package bytecode
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fuzzPool is a constant palette covering every pool kind, so synthesized
 // method bodies can reach each pool-checking path in Verify.
@@ -100,41 +96,6 @@ func FuzzVerify(f *testing.F) {
 	})
 }
 
-// renderModule prints mod in the assembler's input format, exactly as the
-// kaffeos dis command does.
-func renderModule(mod *Module) string {
-	var b strings.Builder
-	for _, c := range mod.Classes {
-		if c.Super != "" {
-			fmt.Fprintf(&b, ".class %s extends %s\n", c.Name, c.Super)
-		} else {
-			fmt.Fprintf(&b, ".class %s\n", c.Name)
-		}
-		for _, fd := range c.Fields {
-			kw := ".field"
-			if fd.Static {
-				kw = ".static"
-			}
-			fmt.Fprintf(&b, "%s %s %s\n", kw, fd.Name, fd.Desc)
-		}
-		for _, m := range c.Methods {
-			mods := ""
-			if m.Static {
-				mods = " static"
-			}
-			if m.Code == nil {
-				fmt.Fprintf(&b, ".method %s %s%s native\n.end\n", m.Name, m.Sig, mods)
-				continue
-			}
-			fmt.Fprintf(&b, ".method %s %s%s\n.locals %d\n.stack %d\n", m.Name, m.Sig, mods, m.MaxLocals, m.MaxStack)
-			b.WriteString(Disassemble(m.Code))
-			b.WriteString(".end\n")
-		}
-		b.WriteString(".end\n")
-	}
-	return b.String()
-}
-
 // sameInstr compares instructions semantically: pool operands by resolved
 // constant (round-tripping may renumber the pool), everything else by raw
 // operand values.
@@ -214,7 +175,7 @@ L1:	return
 		if VerifyModule(mod) != nil {
 			return // unverifiable programs need not round-trip
 		}
-		text := renderModule(mod)
+		text := DisassembleModule(mod)
 		mod2, err := Assemble(text)
 		if err != nil {
 			t.Fatalf("reassembly failed: %v\nsource:\n%s\nrendered:\n%s", err, src, text)

@@ -79,9 +79,6 @@ type Config struct {
 	// KernelMemory is the hard reservation for the kernel heap (default
 	// 32 MiB).
 	KernelMemory uint64
-	// GCWorkers bounds the worker pool CollectAll uses to run process-heap
-	// collections concurrently. 0 selects GOMAXPROCS.
-	GCWorkers int
 	// MemBudget, when nonzero, runs the MemBalancer controller
 	// (internal/membal) over every process heap: the budget is
 	// redistributed across all process memlimits every MemBalInterval
@@ -103,10 +100,6 @@ type Config struct {
 	CodeCache bool
 	// Stdout is where process output goes unless a process overrides it.
 	Stdout io.Writer
-	// Telemetry, when set, is used instead of a freshly-created hub —
-	// callers that want a custom trace-ring size or shared registry pass
-	// one in. The VM always has a hub; tracing defaults to off.
-	Telemetry *telemetry.Hub
 	// Faults, when set, arms the deterministic fault-injection plane across
 	// every subsystem (heap allocation, GC mid-mark, barrier stores,
 	// memlimit debits, scheduler dispatch, spawn/terminate races). Nil —
@@ -210,10 +203,7 @@ func NewVM(cfg Config) (*VM, error) {
 		templates: make(map[Pid]*Template),
 		programs:  make(map[string]*bytecode.Module),
 	}
-	vm.Tel = cfg.Telemetry
-	if vm.Tel == nil {
-		vm.Tel = telemetry.NewHub(0)
-	}
+	vm.Tel = telemetry.NewHub(0)
 	vm.Reg = heap.NewRegistry(vm.Space, heap.Config{HeaderExtra: cfg.Barrier.HeaderExtra()})
 	vm.Reg.Telemetry = vm.Tel
 	vm.Stats.Sink = vm.Tel
@@ -534,8 +524,8 @@ func (vm *VM) CollectHeap(h *heap.Heap) heap.GCResult {
 	return h.Collect(vm.allStackRoots())
 }
 
-// CollectAll collects every live process heap on a bounded pool of worker
-// goroutines (Cfg.GCWorkers wide), so independent collections overlap
+// CollectAll collects every live process heap on a pool of GOMAXPROCS
+// worker goroutines, so independent collections overlap
 // instead of queueing, then charges each owner, reconciles shared-heap
 // accounting, and finishes with a kernel collection. It must only be
 // called while the scheduler is idle (between Run calls): a heap's own
@@ -552,7 +542,7 @@ func (vm *VM) CollectAll() []heap.GCResult {
 		defer p.unpin()
 		reqs[i] = heap.CollectRequest{Heap: p.Heap, Roots: p.gcRoots()}
 	}
-	results := vm.Reg.CollectConcurrent(reqs, vm.Cfg.GCWorkers)
+	results := vm.Reg.CollectConcurrent(reqs, 0)
 	for i, p := range procs {
 		res := results[i]
 		p.chargeCPU(res.Cycles)

@@ -416,15 +416,11 @@ type Server struct {
 
 // NewSharded builds a server with cfg.Shards engine shards (default
 // GOMAXPROCS), creating one VM per shard from vmCfg; callers reach them
-// through VMs. vmCfg.Telemetry must be nil: every shard gets its own hub,
-// and the introspection surface (ServeTelemetry) aggregates them under a
-// shard label. Tenants are assigned to shards by cfg.Place (hash of the
+// through VMs. Every shard VM has its own telemetry hub; the introspection
+// surface (ServeTelemetry) aggregates them under a shard label. Tenants are assigned to shards by cfg.Place (hash of the
 // route when nil).
 func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server, error) {
 	cfg.fill()
-	if vmCfg.Telemetry != nil {
-		return nil, fmt.Errorf("serve: NewSharded needs one telemetry hub per shard; leave vmCfg.Telemetry nil")
-	}
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants")
 	}

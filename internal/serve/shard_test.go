@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 func startSharded(t *testing.T, shards int, cfg Config, tenants []TenantConfig) (*Server, string) {
@@ -349,16 +348,6 @@ func TestPlacement(t *testing.T) {
 	}, []TenantConfig{{Route: "/a"}})
 	if err == nil {
 		t.Error("out-of-range placement: want error")
-	}
-}
-
-// TestNewShardedRejectsSharedHub: per-shard hubs are structural — a
-// caller-supplied hub would silently serialize all shards' telemetry.
-func TestNewShardedRejectsSharedHub(t *testing.T) {
-	_, err := NewSharded(core.Config{Engine: core.EngineJITOpt, Telemetry: telemetry.NewHub(0)},
-		Config{Shards: 2}, []TenantConfig{{Route: "/a"}})
-	if err == nil {
-		t.Error("NewSharded with shared hub: want error")
 	}
 }
 
