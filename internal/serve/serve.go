@@ -493,7 +493,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
+	s.ln = ln // Close reads a nil ln as "no engine loop to stop"
 	s.hsrv = &http.Server{Handler: s.handler()}
 	for _, sh := range s.shards {
 		go sh.loop()
@@ -558,12 +558,20 @@ func (s *Server) Loads() []ShardLoad {
 // exit. The VMs are quiescent afterwards, so callers may run
 // authoritative audits. Safe to call more than once and during in-flight
 // traffic: every request already accepted is answered (200/502/503),
-// never hung.
+// never hung. It also tears down a server whose Start never ran or failed,
+// and releases the Go GC pacing NewSharded took in every case.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closing.Store(true)
 		for _, sh := range s.shards {
 			close(sh.quit)
+			if s.ln == nil {
+				// Start never launched the engine loops (it was not called,
+				// or it failed): tear the shard down on this goroutine,
+				// killing and reclaiming any tenant it already started.
+				sh.shutdown()
+				close(sh.loopDone)
+			}
 		}
 		for _, sh := range s.shards {
 			<-sh.loopDone

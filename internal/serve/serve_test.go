@@ -496,3 +496,59 @@ func TestDoAllocationCeilings(t *testing.T) {
 		}
 	}
 }
+
+// Close must return when no engine loop ever ran — after NewSharded alone,
+// or after a Start that failed once its tenants were up — reclaim every
+// tenant, leave each shard's books clean and release the Go GC pacing.
+func TestCloseWithoutEngineLoops(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		badAddr bool
+	}{{"never-started", false}, {"start-failed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pacer.mu.Lock()
+			planes := pacer.planes
+			pacer.mu.Unlock()
+			s, err := NewSharded(core.Config{Engine: core.EngineJITOpt}, Config{Shards: 2},
+				[]TenantConfig{{Route: "/a"}, {Route: "/b"}, {Route: "/hog", Hog: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.badAddr {
+				if _, err := s.Start("no-port"); err == nil {
+					t.Fatal("Start on an address without a port succeeded")
+				}
+				live := 0
+				for _, vm := range s.VMs() {
+					live += len(vm.Processes())
+				}
+				if live != 3 {
+					t.Fatalf("%d tenant processes live after the failed Start, want 3", live)
+				}
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.Close() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Close hung")
+			}
+			for i, vm := range s.VMs() {
+				if n := len(vm.Processes()); n != 0 {
+					t.Errorf("shard %d: %d processes left after Close", i, n)
+				}
+				if rep := vm.Audit(true); !rep.OK() {
+					t.Errorf("shard %d audit:\n%s", i, rep)
+				}
+			}
+			pacer.mu.Lock()
+			defer pacer.mu.Unlock()
+			if pacer.planes != planes {
+				t.Errorf("pacer holds %d planes after Close, want %d", pacer.planes, planes)
+			}
+		})
+	}
+}
