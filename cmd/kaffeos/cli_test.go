@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +77,8 @@ func golden(t *testing.T, name, got string) {
 }
 
 // The fault-injection sweep is deterministic: same seeds, same fault
-// summaries, same audits, at any GOMAXPROCS. Regenerate the golden file
+// summaries, same audits, at any GOMAXPROCS. Every seed audits clean and
+// consults membal.rebalance at least once. Regenerate the golden file
 // with `go run ./cmd/kaffeos check -seeds 32 > cmd/kaffeos/testdata/check32.golden`
 // only when a change means to move the sweep.
 func TestCheckSweepGolden(t *testing.T) {
@@ -85,6 +87,10 @@ func TestCheckSweepGolden(t *testing.T) {
 		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
 	}
 	golden(t, "check32.golden", stdout)
+	seeds := regexp.MustCompile(`(?m)^seed +\d+: .* membal\.rebalance=\d+/[1-9]\d* .*: OK$`)
+	if n := len(seeds.FindAllString(stdout, -1)); n != 32 {
+		t.Errorf("%d of 32 seeds audit OK after consulting membal.rebalance", n)
+	}
 }
 
 // run -stats prints one proc and one gc-pause line per process, then the

@@ -613,8 +613,8 @@ func checkSeed(seed int, spec string, progs []checkProg) (string, *audit.Report,
 	}
 	// MemBudget arms the memory-balancer controller so the sweep
 	// exercises the membal.rebalance fault site alongside the rest;
-	// the tight interval (one quantum) gets rebalance rounds even into
-	// runs that injected faults cut short.
+	// the tight interval (one quantum) gets rebalance rounds into the
+	// runs that injected faults do not cut short.
 	// CodeCache (with the jit-opt engine) puts the codecache.attach site
 	// on every process creation and module load, so the sweep injects
 	// into attach unwinds too.
@@ -671,6 +671,11 @@ func checkSeed(seed int, spec string, progs []checkProg) (string, *audit.Report,
 		}
 		break
 	}
+	// One controller round over the freshly started workload: under a
+	// blanket plan the injected faults usually end the churn before the
+	// first interval boundary, and every seed must still consult
+	// membal.rebalance and run on whatever limits a cut round left.
+	vm.Rebalance()
 	if err := vm.Run(0); err != nil {
 		return "", nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
