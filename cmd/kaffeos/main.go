@@ -548,7 +548,8 @@ DONE:	return
 .end
 .end`
 
-// checkProg is one workload program of the check sweep.
+// checkProg is one workload program of the check sweep; checkSweep has
+// made sure its module has an entry point.
 type checkProg struct {
 	name string
 	mod  *bytecode.Module
@@ -574,6 +575,9 @@ func checkSweep(n int, spec string, files []string) error {
 			}
 			mod, err := bytecode.Assemble(string(src))
 			if err != nil {
+				return fmt.Errorf("%s: %w", file, err)
+			}
+			if _, _, err := findMain(mod, ""); err != nil {
 				return fmt.Errorf("%s: %w", file, err)
 			}
 			progs = append(progs, checkProg{file, mod})
@@ -635,9 +639,6 @@ func checkSeed(seed int, spec string, progs []checkProg) (string, *audit.Report,
 		}
 	}
 	for _, pr := range progs {
-		if _, _, err := findMain(pr.mod, ""); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", pr.name, err)
-		}
 		if p, err := vm.NewProcess(pr.name, opts); err == nil {
 			start(p, pr.mod)
 		}

@@ -174,6 +174,17 @@ L0:	aload 0
 	}
 }
 
+// A process verifies what it loads: code that pops an empty stack is
+// refused before any of it is defined.
+func TestLoadRejectsUnverifiableCode(t *testing.T) {
+	vm := newTestVM(t)
+	p := mustProc(t, vm, "bad", ProcessOptions{})
+	err := p.Load(bytecode.MustAssemble(".class a/B\n.method m ()V\npop\nreturn\n.end\n.end"))
+	if err == nil || !strings.Contains(err.Error(), "pops") {
+		t.Errorf("unverifiable code loaded: %v", err)
+	}
+}
+
 func TestFullReclamationAfterKill(t *testing.T) {
 	vm := newTestVM(t)
 	src := `
