@@ -107,11 +107,14 @@ func TestRunStatsGolden(t *testing.T) {
 }
 
 // Each program file reports how its process ended: "exited (result N)"
-// with the entry method's return value, or "died: <class>" with the
-// uncaught throwable, which also makes the run exit 1.
+// with an int entry method's return value, plain "exited" for a void
+// entry, or "died: <class>" with the uncaught throwable, which also makes
+// the run exit 1.
 func TestRunReportsResultAndDeath(t *testing.T) {
-	_, stderr, code := runCLI(t, "run", "-mem", "512", "testdata/alloc.kasm", "testdata/hog.kasm")
+	const fib = "../../examples/programs/fib.kasm" // main()V: no result
+	_, stderr, code := runCLI(t, "run", "-mem", "512", "testdata/alloc.kasm", fib, "testdata/hog.kasm")
 	want := "kaffeos: testdata/alloc.kasm: exited (result 3000)\n" +
+		"kaffeos: " + fib + ": exited\n" +
 		"kaffeos: testdata/hog.kasm: died: java/lang/OutOfMemoryError\n"
 	if stderr != want {
 		t.Errorf("stderr = %q, want %q", stderr, want)

@@ -140,6 +140,7 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 type job struct {
 	proc *core.Process
 	th   *interp.Thread
+	key  string // the entry method findMain chose
 	file string
 }
 
@@ -198,7 +199,7 @@ func setup(rf *runFlags, files []string) (*core.VM, []job, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", file, err)
 		}
-		jobs = append(jobs, job{proc: p, th: th, file: file})
+		jobs = append(jobs, job{proc: p, th: th, key: key, file: file})
 	}
 	return vm, jobs, nil
 }
@@ -272,7 +273,7 @@ func runCmd(args []string) error {
 		switch {
 		case p.State() == core.ProcReclaimed && p.ExitError() == nil && p.Uncaught() == nil:
 			fmt.Fprintf(os.Stderr, "kaffeos: %s: exited", j.file)
-			if !j.th.Alive() && j.th.Err == nil {
+			if strings.HasSuffix(j.key, ")I") && !j.th.Alive() && j.th.Err == nil {
 				fmt.Fprintf(os.Stderr, " (result %d)", j.th.Result.I)
 			}
 			fmt.Fprintln(os.Stderr)

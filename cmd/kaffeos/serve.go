@@ -72,7 +72,7 @@ func serveCmd(args []string) error {
 	}
 	srv, err := serve.NewSharded(
 		vmCfg,
-		serve.Config{Shards: *shards, Place: serve.LeastLoaded, FlightDir: *flightDir, MemBudget: budget},
+		serve.Config{Shards: *shards, FlightDir: *flightDir, MemBudget: budget},
 		tenants)
 	if err != nil {
 		return err
@@ -106,12 +106,12 @@ func serveCmd(args []string) error {
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%-16s %-8s %5s %8s %8s %8s %8s %8s %8s %10s %10s\n",
-		"ROUTE", "ROLE", "SHARD", "REQS", "OK", "SHED", "ERRS", "RESTARTS", "MIGR", "P50", "P99")
+	fmt.Fprintf(os.Stderr, "%-16s %-8s %5s %8s %8s %8s %8s %8s %10s %10s\n",
+		"ROUTE", "ROLE", "SHARD", "REQS", "OK", "SHED", "ERRS", "RESTARTS", "P50", "P99")
 	for _, row := range srv.Rows() {
-		fmt.Fprintf(os.Stderr, "%-16s %-8s %5d %8d %8d %8d %8d %8d %8d %9dus %9dus\n",
+		fmt.Fprintf(os.Stderr, "%-16s %-8s %5d %8d %8d %8d %8d %8d %9dus %9dus\n",
 			row.Route, row.Role, row.Shard, row.Requests, row.OK, row.Shed, row.Errors,
-			row.Restarts, row.Migrations, row.P50Ns/1000, row.P99Ns/1000)
+			row.Restarts, row.P50Ns/1000, row.P99Ns/1000)
 	}
 	for i, vm := range srv.VMs() {
 		if rep := vm.Audit(true); !rep.OK() {

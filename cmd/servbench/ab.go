@@ -302,7 +302,7 @@ func overcommitTenants(budget uint64) []serve.TenantConfig {
 // driven with the skewed traffic mix (7/8 of requests carry 64 KiB bodies
 // to the hot half). Samples are the latencies of the 200s.
 func overcommit(budget, requests uint64, clients, shards int, controller bool) ([]int64, map[string]float64, error) {
-	cfg := serve.Config{Shards: shards, Place: serve.LeastLoaded}
+	cfg := serve.Config{Shards: shards}
 	if controller {
 		cfg.MemBudget = budget
 	}

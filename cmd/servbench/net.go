@@ -162,7 +162,7 @@ func netBench(target, routeSpec string, clients int, requests uint64, bodyBytes,
 		return netLoad(nil, strings.TrimSuffix(target, "/"), tenants, clients, requests, bodyBytes, jsonPath)
 	}
 	return onPlane(core.Config{Engine: core.EngineJITOpt},
-		serve.Config{Shards: shards, Place: serve.LeastLoaded}, tenants,
+		serve.Config{Shards: shards}, tenants,
 		func(srv *serve.Server, base string) error {
 			// Self-hosted runs record spans so the artifact carries the
 			// server-side phase breakdown of every request.

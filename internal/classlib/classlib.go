@@ -63,9 +63,6 @@ func New() *Library {
 	}
 }
 
-// SharedClassNames lists the shared classes, sorted.
-func (l *Library) SharedClassNames() []string { return classNames(l.SharedModule) }
-
 // ReloadedClassNames lists the per-process classes, sorted.
 func (l *Library) ReloadedClassNames() []string { return classNames(l.ReloadedModule) }
 

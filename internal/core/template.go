@@ -66,13 +66,6 @@ func (t *Template) TelemetryPid() int32 { return int32(t.ID) }
 // Bytes reports the frozen checkpoint's heap size.
 func (t *Template) Bytes() uint64 { return t.Heap.Bytes() }
 
-// Released reports whether the template has been destroyed.
-func (t *Template) Released() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.released
-}
-
 // Checkpoint freezes a warmed process into an immutable Template. The
 // process must be running and quiescent (no live threads): checkpoint is
 // taken between Run slices, after init/warmup code has finished. The

@@ -84,9 +84,6 @@ const (
 	numSites
 )
 
-// NumSites reports the number of defined sites.
-func NumSites() int { return int(numSites) }
-
 var siteNames = [numSites]string{
 	SiteHeapAlloc:     "heap.alloc",
 	SiteHeapMark:      "heap.mark",
@@ -344,18 +341,6 @@ func (p *Plane) Fires(s Site) uint64 {
 		return 0
 	}
 	return p.sites[s].fires.Load()
-}
-
-// TotalFires reports firings across all sites.
-func (p *Plane) TotalFires() uint64 {
-	if p == nil {
-		return 0
-	}
-	var n uint64
-	for s := Site(0); s < numSites; s++ {
-		n += p.sites[s].fires.Load()
-	}
-	return n
 }
 
 // Summary renders per-site hit/fire counters for reports, skipping sites

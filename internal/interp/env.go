@@ -24,7 +24,6 @@ const (
 	ClsStackOverflow     = "java/lang/StackOverflowError"
 	ClsSegViolation      = "kaffeos/SegmentationViolationError"
 	ClsIllegalMonitor    = "java/lang/IllegalMonitorStateException"
-	ClsThreadDeath       = "java/lang/ThreadDeath"
 )
 
 // NativeFunc is the implementation type for native methods. args holds the

@@ -35,9 +35,6 @@ type Program struct {
 // Size reports the modeled resident size of the artifact in bytes.
 func (p *Program) Size() uint64 { return p.size }
 
-// NumMethods reports how many method bodies the artifact holds.
-func (p *Program) NumMethods() int { return len(p.bodies) }
-
 func methodKey(c *object.Class, m *object.Method) string {
 	return c.Name + "." + m.Name + m.Sig
 }

@@ -30,20 +30,6 @@ func NewModuleBuilder() *ModuleBuilder {
 	}
 }
 
-// AddSource assembles textual bytecode and merges it into the module. It
-// panics on error: builder inputs are compiled into the binary and a
-// failure is a programming bug.
-func (b *ModuleBuilder) AddSource(src string) *ModuleBuilder {
-	m, err := bytecode.Assemble(src)
-	if err != nil {
-		panic(fmt.Sprintf("object: builder source: %v", err))
-	}
-	if err := b.Module.Merge(m); err != nil {
-		panic(fmt.Sprintf("object: builder merge: %v", err))
-	}
-	return b
-}
-
 // Class starts a class definition.
 func (b *ModuleBuilder) Class(name, super string) *ClassBuilder {
 	if _, dup := b.Module.Class(name); dup {

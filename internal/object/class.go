@@ -54,21 +54,17 @@ type Class struct {
 	fieldsByName map[string]*Field  // instance fields incl. inherited
 	staticByName map[string]*Field  // static fields declared here
 	methodByKey  map[string]*Method // declared methods by name+sig
-
-	// Init tracks whether <clinit> has run (loaders run it at definition).
-	Init bool
 }
 
 // Field describes one field of a class.
 type Field struct {
-	Name     string
-	Class    *Class // declaring class
-	Desc     bytecode.Desc
-	DescStr  string
-	Static   bool
-	Ref      bool
-	Slot     int // index into Refs or Prims of the (statics) object
-	ReadOnly bool
+	Name    string
+	Class   *Class // declaring class
+	Desc    bytecode.Desc
+	DescStr string
+	Static  bool
+	Ref     bool
+	Slot    int // index into Refs or Prims of the (statics) object
 }
 
 // Method describes one method of a class.

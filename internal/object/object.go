@@ -19,8 +19,6 @@ const (
 	// FlagFrozen marks objects on a frozen shared heap: reference fields
 	// are immutable (paper §2, "Direct sharing between processes").
 	FlagFrozen
-	// FlagEntry marks synthetic entry-item bookkeeping objects.
-	FlagEntry
 )
 
 // Object is one heap object. Primitive fields live in Prims (doubles as

@@ -25,7 +25,7 @@ type FlightDump struct {
 	Reason string `json:"reason"` // "death" or "shed"
 	Route  string `json:"route"`
 	Name   string `json:"name"`
-	// Shard is the engine shard that owned the tenant at dump time.
+	// Shard is the engine shard that owns the tenant.
 	Shard int `json:"shard"`
 	// Pid is the process incarnation the incident happened to.
 	Pid    int32 `json:"pid"`
@@ -73,7 +73,7 @@ func (sh *shard) dumpFlight(tn *tenant, reason string) {
 		Time:        time.Now().Format(time.RFC3339Nano),
 		Reason:      reason,
 		Route:       tn.cfg.Route,
-		Name:        tn.cfg.Name,
+		Name:        tn.name,
 		Shard:       sh.id,
 		Pid:         pid,
 		Deaths:      tn.deaths,
@@ -100,7 +100,7 @@ func (sh *shard) dumpFlight(tn *tenant, reason string) {
 
 	tn.flightSeq++
 	path := filepath.Join(sh.cfg.FlightDir,
-		fmt.Sprintf("flight-%s-%d-%d.json", tn.cfg.Name, pid, tn.flightSeq))
+		fmt.Sprintf("flight-%s-%d-%d.json", tn.name, pid, tn.flightSeq))
 	data, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
 		return

@@ -44,7 +44,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.roundTrip(tn, body, t0)
-	w.Header().Set("X-Kaffeos-Tenant", tn.cfg.Name)
+	w.Header().Set("X-Kaffeos-Tenant", tn.name)
 	if resp.pid != 0 {
 		w.Header().Set("X-Kaffeos-Pid", strconv.Itoa(int(resp.pid)))
 	}
@@ -66,7 +66,7 @@ func (s *Server) roundTrip(tn *tenant, body []byte, t0 time.Time) response {
 	if s.closing.Load() {
 		return response{status: http.StatusServiceUnavailable, body: "shed: server shutting down\n"}
 	}
-	sh := tn.sh.Load()
+	sh := tn.sh
 	req := sh.newRequest(tn, body, t0)
 	select {
 	case sh.submit <- req:
@@ -142,50 +142,49 @@ func (s *Server) Do(route string, body []byte) (status int, respBody string) {
 }
 
 // TenantRow is one tenant's lifetime serving statistics, aggregated
-// across process restarts and shard migrations. Latency quantiles come
+// across process restarts. Latency quantiles come
 // from the tenant's power-of-two-bucket histogram (nanoseconds).
 type TenantRow struct {
-	Route      string `json:"route"`
-	Name       string `json:"name"`
-	Role       string `json:"role"`
-	Shard      int    `json:"shard"`
-	Pid        int32  `json:"pid"`
-	Up         bool   `json:"up"`
-	Requests   uint64 `json:"requests"`
-	OK         uint64 `json:"ok"`
-	Shed       uint64 `json:"shed"`
-	Errors     uint64 `json:"errors"`
-	Restarts   uint64 `json:"restarts"`
-	Caught     uint64 `json:"caught"` // requests that shared a death of the tenant's process (CaughtHeader)
-	Migrations uint64 `json:"migrations"`
-	Queue      uint64 `json:"queue"`
-	Inflight   uint64 `json:"inflight"`
-	MemUse     uint64 `json:"mem_use"`
-	MemLimit   uint64 `json:"mem_limit"`
-	P50Ns      uint64 `json:"p50_ns"`
-	P99Ns      uint64 `json:"p99_ns"`
+	Route    string `json:"route"`
+	Name     string `json:"name"`
+	Role     string `json:"role"`
+	Shard    int    `json:"shard"`
+	Pid      int32  `json:"pid"`
+	Up       bool   `json:"up"`
+	Requests uint64 `json:"requests"`
+	OK       uint64 `json:"ok"`
+	Shed     uint64 `json:"shed"`
+	Errors   uint64 `json:"errors"`
+	Restarts uint64 `json:"restarts"`
+	Caught   uint64 `json:"caught"` // requests that shared a death of the tenant's process (CaughtHeader)
+	Queue    uint64 `json:"queue"`
+	Inflight uint64 `json:"inflight"`
+	MemUse   uint64 `json:"mem_use"`
+	MemLimit uint64 `json:"mem_limit"`
+	P50Ns    uint64 `json:"p50_ns"`
+	P99Ns    uint64 `json:"p99_ns"`
 }
 
 // rowFor snapshots one tenant. Safe from any goroutine: it reads only
-// atomics, the shard pointer, and the mutex-guarded process pointer.
+// atomics, fields fixed at registration, and the mutex-guarded process
+// pointer.
 func rowFor(tn *tenant) TenantRow {
 	row := TenantRow{
-		Route:      tn.cfg.Route,
-		Name:       tn.cfg.Name,
-		Role:       tn.prog.role,
-		Shard:      tn.sh.Load().id,
-		Requests:   tn.reqs.Value(),
-		OK:         tn.okCount.Value(),
-		Shed:       tn.shed.Value(),
-		Errors:     tn.errs.Value(),
-		Restarts:   tn.restarts.Value(),
-		Caught:     tn.caught.Value(),
-		Migrations: tn.migrations.Value(),
-		Queue:      tn.qdepth.Value(),
-		Inflight:   tn.infl.Value(),
-		MemLimit:   uint64(tn.cfg.MemKB) << 10,
-		P50Ns:      tn.latency.Quantile(0.5),
-		P99Ns:      tn.latency.Quantile(0.99),
+		Route:    tn.cfg.Route,
+		Name:     tn.name,
+		Role:     tn.prog.role,
+		Shard:    tn.sh.id,
+		Requests: tn.reqs.Value(),
+		OK:       tn.okCount.Value(),
+		Shed:     tn.shed.Value(),
+		Errors:   tn.errs.Value(),
+		Restarts: tn.restarts.Value(),
+		Caught:   tn.caught.Value(),
+		Queue:    tn.qdepth.Value(),
+		Inflight: tn.infl.Value(),
+		MemLimit: uint64(tn.cfg.MemKB) << 10,
+		P50Ns:    tn.latency.Quantile(0.5),
+		P99Ns:    tn.latency.Quantile(0.99),
 	}
 	if p := tn.currentProc(); p != nil {
 		row.Pid = int32(p.ID)

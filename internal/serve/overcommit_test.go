@@ -61,7 +61,7 @@ type overcommitResult struct {
 // with or without the memory controller, and tears it down audited.
 func runOvercommit(t *testing.T, budget uint64, controller bool) overcommitResult {
 	t.Helper()
-	cfg := Config{Shards: 2, Place: LeastLoaded}
+	cfg := Config{Shards: 2}
 	if controller {
 		cfg.MemBudget = budget
 	}

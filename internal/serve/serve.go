@@ -18,20 +18,18 @@
 // design (deterministic CPU accounting), so one engine goroutine owns each
 // VM exclusively. To use more than one core, the plane runs N shards, each
 // a full VM — scheduler, heap registry, GC workers, supervisor, flight
-// recorder — with tenants assigned to shards at route registration (hash
-// by default, load-aware via Config.Place) and an explicit migration path
-// for hot tenants (Server.Migrate: quiesce, drain, restart on the target
-// shard). OS-side socket goroutines talk to a shard through its bounded
-// submit channel and per-request response channels; nothing else touches
-// a shard's scheduler, processes, or heaps. Every accepted request is
-// guaranteed a response — completion, 5xx on tenant death, or 503 shed —
-// so clients never hang on a killed servlet.
+// recorder — with each tenant placed on one shard at route registration
+// (fewest tenants first, or Config.Place), where it stays for the
+// server's life. OS-side socket goroutines talk to a shard through its
+// bounded submit channel and per-request response channels; nothing else
+// touches a shard's scheduler, processes, or heaps. Every accepted
+// request is guaranteed a response — completion, 5xx on tenant death, or
+// 503 shed — so clients never hang on a killed servlet.
 package serve
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"runtime"
@@ -49,10 +47,9 @@ import (
 
 // TenantConfig describes one route → servlet-process mapping.
 type TenantConfig struct {
-	// Route is the URL path served by this tenant (e.g. "/zone0").
+	// Route is the URL path served by this tenant (e.g. "/zone0"). The
+	// route without its slash names the tenant and its processes.
 	Route string
-	// Name is the process name (defaults to the route without the slash).
-	Name string
 	// Hog selects the request-driven MemHog program instead of the
 	// well-behaved servlet. It is a program choice like Program, and the
 	// two are exclusive.
@@ -148,10 +145,7 @@ func (c *TenantConfig) fill() error {
 	if c.Route == "" || c.Route[0] != '/' || c.Route == "/serve" || c.Route == "/healthz" {
 		return fmt.Errorf("serve: invalid route %q", c.Route)
 	}
-	if c.Name == "" {
-		c.Name = c.Route[1:]
-	}
-	if c.Name == "" {
+	if c.Route == "/" {
 		return fmt.Errorf("serve: route %q yields an empty tenant name", c.Route)
 	}
 	if c.MemKB <= 0 {
@@ -195,36 +189,18 @@ type ShardLoad struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// LeastLoaded is a placement hook that picks the shard with the least
-// work: fewest queued+executing requests, then fewest tenants, then
-// fewest executed cycles. Use it to spread tenants evenly at
-// registration; the default (nil) placement hashes the route instead.
+// LeastLoaded is the default placement: the shard with the fewest
+// tenants, the first one on ties. Placement runs before Start, when no
+// shard has queued, executed or run anything, so tenant count is the only
+// load there is.
 func LeastLoaded(route string, loads []ShardLoad) int {
 	best := 0
 	for i := 1; i < len(loads); i++ {
-		a, b := loads[i], loads[best]
-		qa, qb := a.Queue+a.Inflight, b.Queue+b.Inflight
-		switch {
-		case qa != qb:
-			if qa < qb {
-				best = i
-			}
-		case a.Tenants != b.Tenants:
-			if a.Tenants < b.Tenants {
-				best = i
-			}
-		case a.Cycles < b.Cycles:
+		if loads[i].Tenants < loads[best].Tenants {
 			best = i
 		}
 	}
 	return best
-}
-
-// hashShard is the default placement: stable FNV-1a hash of the route.
-func hashShard(route string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(route))
-	return int(h.Sum32()) % n
 }
 
 // Config parameterizes the server.
@@ -233,8 +209,8 @@ type Config struct {
 	// VM, scheduler, heap registry and GC workers (default GOMAXPROCS).
 	// One shard is the single-VM plane.
 	Shards int
-	// Place chooses the shard for each route at registration time; nil
-	// hash-assigns routes (stable across restarts). See LeastLoaded.
+	// Place chooses the shard for each route at registration time; a
+	// tenant never leaves it (nil: LeastLoaded).
 	Place func(route string, loads []ShardLoad) int
 	// RequestTimeout is the per-request wall-clock deadline. Whatever
 	// happens to the tenant, the client hears back within it
@@ -295,6 +271,9 @@ func (c *Config) fill() {
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = 10 * time.Millisecond
 	}
+	if c.Place == nil {
+		c.Place = LeastLoaded
+	}
 }
 
 // response is what an engine loop sends back to a waiting HTTP handler.
@@ -335,13 +314,14 @@ type request struct {
 // tenant is one route's servlet process plus its supervisor state. Queue,
 // process and supervisor fields belong to the owning shard's engine
 // goroutine; the aggregate counters are atomic so the HTTP introspection
-// side reads them freely. The owning shard itself is an atomic pointer:
-// the HTTP layer loads it to find the submit channel, and Migrate swaps
-// it when the tenant moves.
+// side reads them freely. The owning shard is set by NewSharded before
+// any goroutine starts and never changes, so every goroutine reads it
+// without synchronization.
 type tenant struct {
 	cfg  TenantConfig
+	name string // the route without its slash
 	prog program
-	sh   atomic.Pointer[shard]
+	sh   *shard
 
 	mu   sync.Mutex // guards proc/scope swap (engine writes, HTTP reads)
 	proc *core.Process
@@ -351,14 +331,13 @@ type tenant struct {
 	arrCls   *object.Class // "[I" in the current incarnation's namespace
 
 	down        bool
-	migrating   bool // quiesced for migration: shed arrivals, no restarts
-	deaths      int  // consecutive deaths (resets on first OK after restart)
+	deaths      int // consecutive deaths (resets on first OK after restart)
 	nextRestart time.Time
 
-	// Lifetime aggregates across restarts and migrations.
-	reqs, okCount, shed, errs, restarts, migrations, caught telemetry.Counter
-	latency                                                 telemetry.Histogram
-	qdepth, infl                                            telemetry.Gauge
+	// Lifetime aggregates across restarts.
+	reqs, okCount, shed, errs, restarts, caught telemetry.Counter
+	latency                                     telemetry.Histogram
+	qdepth, infl                                telemetry.Gauge
 
 	// Mirrors into the current process incarnation's telemetry scope, so
 	// `kaffeos ps`/`top` and /metrics show serving stats per pid.
@@ -410,15 +389,14 @@ type Server struct {
 
 	closing   atomic.Bool
 	closeOnce sync.Once
-
-	migrateMu sync.Mutex // serializes Migrate calls
 }
 
 // NewSharded builds a server with cfg.Shards engine shards (default
 // GOMAXPROCS), creating one VM per shard from vmCfg; callers reach them
 // through VMs. Every shard VM has its own telemetry hub; the introspection
-// surface (ServeTelemetry) aggregates them under a shard label. Tenants are assigned to shards by cfg.Place (hash of the
-// route when nil).
+// surface (ServeTelemetry) aggregates them under a shard label. Each
+// tenant is placed on one shard by cfg.Place (LeastLoaded when nil) and
+// stays there.
 func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server, error) {
 	cfg.fill()
 	if len(tenants) == 0 {
@@ -441,9 +419,8 @@ func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server,
 		}
 		s.shards = append(s.shards, newShard(i, vm, cfg))
 	}
-	// Placement: hash by default, cfg.Place for load-aware assignment.
-	// Loads are rebuilt after each assignment so a least-loaded hook sees
-	// the tenants it already placed.
+	// Loads are rebuilt after each assignment so the hook sees the
+	// tenants it already placed.
 	for _, tc := range tenants {
 		if err := tc.fill(); err != nil {
 			return nil, err
@@ -451,18 +428,13 @@ func NewSharded(vmCfg core.Config, cfg Config, tenants []TenantConfig) (*Server,
 		if _, dup := s.byRoute[tc.Route]; dup {
 			return nil, fmt.Errorf("serve: duplicate route %q", tc.Route)
 		}
-		var idx int
-		if cfg.Place != nil {
-			idx = cfg.Place(tc.Route, s.Loads())
-			if idx < 0 || idx >= len(s.shards) {
-				return nil, fmt.Errorf("serve: placement hook put route %q on shard %d of %d", tc.Route, idx, len(s.shards))
-			}
-		} else {
-			idx = hashShard(tc.Route, len(s.shards))
+		idx := cfg.Place(tc.Route, s.Loads())
+		if idx < 0 || idx >= len(s.shards) {
+			return nil, fmt.Errorf("serve: placement hook put route %q on shard %d of %d", tc.Route, idx, len(s.shards))
 		}
-		tn := &tenant{cfg: tc, prog: tc.program()}
-		tn.sh.Store(s.shards[idx])
-		s.shards[idx].tenants = append(s.shards[idx].tenants, tn)
+		sh := s.shards[idx]
+		tn := &tenant{cfg: tc, name: tc.Route[1:], prog: tc.program(), sh: sh}
+		sh.tenants = append(sh.tenants, tn)
 		s.tenants = append(s.tenants, tn)
 		s.byRoute[tc.Route] = tn
 	}
@@ -527,25 +499,15 @@ func (s *Server) ServeTelemetry(addr string) (string, error) {
 	return telemetry.Serve(addr, sources)
 }
 
-// ShardOf reports which shard currently owns route (-1 if unknown).
-func (s *Server) ShardOf(route string) int {
-	tn := s.byRoute[route]
-	if tn == nil {
-		return -1
-	}
-	return tn.sh.Load().id
-}
-
 // Loads snapshots every shard's load (safe from any goroutine: gauges
-// and the virtual clock are atomic, shard assignment is an atomic
-// pointer).
+// and the virtual clock are atomic, and a tenant's shard never changes).
 func (s *Server) Loads() []ShardLoad {
 	out := make([]ShardLoad, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = ShardLoad{Shard: i, Cycles: sh.vm.Sched.Now()}
 	}
 	for _, tn := range s.tenants {
-		i := tn.sh.Load().id
+		i := tn.sh.id
 		out[i].Tenants++
 		out[i].Queue += tn.qdepth.Value()
 		out[i].Inflight += tn.infl.Value()
@@ -608,113 +570,4 @@ func (s *Server) Close() error {
 		pacer.release(s)
 	})
 	return nil
-}
-
-// Migrate moves a route's tenant to the target shard — the hot-tenant
-// escape hatch. The protocol is quiesce → drain → move:
-//
-//  1. Quiesce: the owning shard marks the tenant migrating; new arrivals
-//     shed 503 while already-admitted requests keep executing.
-//  2. Drain: the shard finishes the tenant's queue and in-flight
-//     requests (bounded by RequestTimeout — stragglers past it fail as
-//     on any death), kills the old incarnation, and waits for its heap
-//     to merge back.
-//  3. Move: ownership swaps to the target shard, which starts a fresh
-//     incarnation there; traffic resumes.
-//
-// The route is briefly unavailable (sheds, never hangs) while draining;
-// neighbours on both shards are untouched. Blocks until the move
-// completes.
-func (s *Server) Migrate(route string, target int) error {
-	s.migrateMu.Lock()
-	defer s.migrateMu.Unlock()
-	tn := s.byRoute[route]
-	if tn == nil {
-		return fmt.Errorf("serve: migrate: unknown route %q", route)
-	}
-	if target < 0 || target >= len(s.shards) {
-		return fmt.Errorf("serve: migrate: no shard %d (have %d)", target, len(s.shards))
-	}
-	from, to := tn.sh.Load(), s.shards[target]
-	if from == to {
-		return nil
-	}
-
-	// 1. Quiesce on the owning shard.
-	if err := from.do(func() { tn.migrating = true }); err != nil {
-		return err
-	}
-
-	// 2. Drain: poll the owning engine until the tenant has no queued or
-	// executing requests and its old incarnation is fully reclaimed. A
-	// request that outlives RequestTimeout is answered by the engine's
-	// expire pass, and killing the process fails any true straggler the
-	// way any tenant death would.
-	deadline := time.Now().Add(s.cfg.RequestTimeout + s.cfg.RequestTimeout/2)
-	killed := false
-	for {
-		var quiet, reclaimed bool
-		err := from.do(func() {
-			quiet = len(tn.queue) == 0 && len(tn.inflight) == 0
-			p := tn.proc
-			if quiet && !killed {
-				if p != nil && p.State() == core.ProcRunning {
-					p.Kill(nil)
-				}
-				killed = true
-			}
-			reclaimed = p == nil || p.State() == core.ProcReclaimed
-		})
-		if err != nil {
-			return err
-		}
-		if quiet && killed && reclaimed {
-			break
-		}
-		if !quiet && time.Now().After(deadline) {
-			// Stragglers past the deadline: kill the incarnation; the
-			// engine's reap fails their requests 502 like any death.
-			err := from.do(func() {
-				if p := tn.proc; p != nil && p.State() == core.ProcRunning {
-					p.Kill(nil)
-				}
-				killed = true
-			})
-			if err != nil {
-				return err
-			}
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	// 3. Move: swap ownership, adopt on the target, restart there. The
-	// owner swaps on the old shard's goroutine, after its last look at the
-	// tenant: every later admit there sees the new owner and forwards, so
-	// no old-shard read of tenant state races the adopting shard's writes.
-	if err := from.do(func() { from.removeTenant(tn); tn.sh.Store(to) }); err != nil {
-		return err
-	}
-	var startErr error
-	err := to.do(func() {
-		to.tenants = append(to.tenants, tn)
-		tn.migrating = false
-		tn.deaths = 0
-		startErr = to.startTenant(tn)
-		if startErr != nil {
-			// Adopted but not started: let the supervisor keep trying.
-			tn.down = true
-			tn.nextRestart = time.Now().Add(to.cfg.RestartBackoff)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	tn.migrations.Inc()
-	if sc := tn.currentScope(); sc != nil {
-		sc.Counter(telemetry.MServeMigrations).Inc()
-	}
-	to.vm.Tel.Emit(telemetry.Event{
-		Kind: telemetry.EvServeMigrate, Pid: tn.pid(),
-		A: uint64(from.id), B: uint64(to.id), Detail: tn.cfg.Route,
-	})
-	return startErr
 }

@@ -352,10 +352,7 @@ func TestServeGracefulShutdownUnderLoad(t *testing.T) {
 				{Route: "/x", WorkUnits: 400},
 				{Route: "/y", WorkUnits: 400},
 			}
-			s, base := startSharded(t, shards, Config{
-				Place:          LeastLoaded,
-				RequestTimeout: 10 * time.Second,
-			}, tenants)
+			s, base := startSharded(t, shards, Config{RequestTimeout: 10 * time.Second}, tenants)
 
 			var (
 				closeStarted atomic.Bool
@@ -461,7 +458,7 @@ func TestDoAllocationCeilings(t *testing.T) {
 	}{
 		{"spans-off", 23, Config{}, 1, false, false},
 		{"spans-on", 24, Config{}, 1, true, false},
-		{"shards-4", 23, Config{Shards: 4, Place: LeastLoaded}, 4, false, false},
+		{"shards-4", 23, Config{Shards: 4}, 4, false, false},
 		{"overcommit-static", 24, Config{}, 4, false, true},
 		{"overcommit-balanced", 24, Config{MemBudget: budget}, 4, false, true},
 	} {

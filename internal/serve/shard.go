@@ -19,7 +19,7 @@ import (
 
 // shard is one engine: a VM (scheduler, heap registry, GC workers), the
 // subset of tenants placed on it, and the single goroutine that owns all
-// of them. Everything below the submit/ctrl channels — queues, processes,
+// of them. Everything below the submit channel — queues, processes,
 // supervisor state, the flight recorder — is engine-goroutine-only, which
 // is what lets N shards run on N cores with no locks on the request path.
 type shard struct {
@@ -27,20 +27,18 @@ type shard struct {
 	vm  *core.VM
 	cfg Config
 
-	// tenants this shard currently owns; mutated only by the engine
-	// goroutine (Migrate edits it via ctrl).
+	// tenants placed on this shard by NewSharded; the set never changes.
 	tenants []*tenant
 
 	// zygotes caches one checkpointed warm template per program shape
 	// (handler class): the first Template tenant of a shape pays the full
-	// init once, every start after that — first starts, supervisor
-	// restarts, migrations landing here — forks a clone from the template
-	// instead. Engine-goroutine-only (startTenant runs on it), except the
-	// pre-loop Start path, which is single-threaded by construction.
+	// init once, every start after that — first starts and supervisor
+	// restarts — forks a clone from the template instead.
+	// Engine-goroutine-only (startTenant runs on it), except the pre-loop
+	// Start path, which is single-threaded by construction.
 	zygotes map[string]*core.Template
 
 	submit   chan *request
-	ctrl     chan func()
 	quit     chan struct{}
 	loopDone chan struct{}
 
@@ -63,7 +61,6 @@ func newShard(id int, vm *core.VM, cfg Config) *shard {
 		cfg:      cfg,
 		zygotes:  make(map[string]*core.Template),
 		submit:   make(chan *request, submitBuffer),
-		ctrl:     make(chan func(), 8),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		kReqs:    k.Counter(telemetry.MServeRequests),
@@ -80,29 +77,6 @@ func newShard(id int, vm *core.VM, cfg Config) *shard {
 	}
 }
 
-// do runs fn on the shard's engine goroutine and waits for it — the only
-// way code outside the engine may touch engine-owned state (Migrate uses
-// it for quiesce/drain/adopt steps). Returns an error instead of hanging
-// if the engine has already exited.
-func (sh *shard) do(fn func()) error {
-	done := make(chan struct{})
-	wrapped := func() {
-		fn()
-		close(done)
-	}
-	select {
-	case sh.ctrl <- wrapped:
-	case <-sh.loopDone:
-		return fmt.Errorf("serve: shard %d engine stopped", sh.id)
-	}
-	select {
-	case <-done:
-		return nil
-	case <-sh.loopDone:
-		return fmt.Errorf("serve: shard %d engine stopped", sh.id)
-	}
-}
-
 // startTenant (re)creates the tenant's process on this shard's VM — by
 // full init (fresh memlimit, heap and namespace, the handler program) or,
 // for Template tenants, by forking a checkpointed zygote — then spawns
@@ -114,19 +88,19 @@ func (sh *shard) startTenant(tn *tenant) error {
 	if tn.cfg.Template {
 		p, err = sh.forkTenant(tn)
 	} else {
-		p, err = sh.initTenant(tn, tn.cfg.Name)
+		p, err = sh.initTenant(tn, tn.name)
 	}
 	if err != nil {
 		return err
 	}
 	if _, err := p.SpawnDaemon(jserv.KeeperClass, "main()V"); err != nil {
 		p.Kill(nil)
-		return fmt.Errorf("serve: tenant %s keeper: %w", tn.cfg.Name, err)
+		return fmt.Errorf("serve: tenant %s keeper: %w", tn.name, err)
 	}
 	arrCls, err := p.Loader.Class("[I")
 	if err != nil {
 		p.Kill(nil)
-		return fmt.Errorf("serve: tenant %s: %w", tn.cfg.Name, err)
+		return fmt.Errorf("serve: tenant %s: %w", tn.name, err)
 	}
 	scope := sh.vm.Tel.Reg.Proc(int32(p.ID))
 	scope.SetMeta("serve.route", tn.cfg.Route)
@@ -177,20 +151,20 @@ func (sh *shard) forkTenant(tn *tenant) (*core.Process, error) {
 	key := tn.prog.class
 	tpl, ok := sh.zygotes[key]
 	if !ok {
-		origin, err := sh.initTenant(tn, "zygote-"+tn.cfg.Name)
+		origin, err := sh.initTenant(tn, "zygote-"+tn.name)
 		if err != nil {
 			return nil, err
 		}
 		tpl, err = sh.vm.Checkpoint(origin, key)
 		origin.Kill(nil) // threadless: reclaims inline
 		if err != nil {
-			return nil, fmt.Errorf("serve: zygote for %s: checkpoint: %w", tn.cfg.Name, err)
+			return nil, fmt.Errorf("serve: zygote for %s: checkpoint: %w", tn.name, err)
 		}
 		sh.zygotes[key] = tpl
 	}
-	p, err := tpl.Fork(tn.cfg.Name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
+	p, err := tpl.Fork(tn.name, core.ProcessOptions{MemLimit: uint64(tn.cfg.MemKB) << 10})
 	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %s: fork from %s: %w", tn.cfg.Name, tpl.Name, err)
+		return nil, fmt.Errorf("serve: tenant %s: fork from %s: %w", tn.name, tpl.Name, err)
 	}
 	return p, nil
 }
@@ -207,28 +181,16 @@ func (sh *shard) publish(tn *tenant) {
 	sc.Gauge(telemetry.MServeInflight).Set(uint64(len(tn.inflight)))
 }
 
-// removeTenant drops tn from the shard's set (engine goroutine only;
-// Migrate calls it via do after the drain).
-func (sh *shard) removeTenant(tn *tenant) {
-	for i, t := range sh.tenants {
-		if t == tn {
-			sh.tenants = append(sh.tenants[:i], sh.tenants[i+1:]...)
-			return
-		}
-	}
-}
-
 // ---- engine loop ------------------------------------------------------
 
 // loop is the engine goroutine: the only code that touches this shard's
-// VM after Start. It alternates between admitting submissions, running
-// control functions, dispatching queued requests into tenant processes,
-// advancing the scheduler one slice, and reaping completions and deaths.
+// VM after Start. It alternates between admitting submissions,
+// dispatching queued requests into tenant processes, advancing the
+// scheduler one slice, and reaping completions and deaths.
 func (sh *shard) loop() {
 	defer close(sh.loopDone)
 	yielded := time.Now()
 	for {
-		sh.drainCtrl()
 		sh.drainSubmit()
 		now := time.Now()
 		pacer.tick(now)
@@ -262,17 +224,6 @@ func (sh *shard) loop() {
 	}
 }
 
-func (sh *shard) drainCtrl() {
-	for {
-		select {
-		case fn := <-sh.ctrl:
-			fn()
-		default:
-			return
-		}
-	}
-}
-
 func (sh *shard) drainSubmit() {
 	for {
 		select {
@@ -287,28 +238,10 @@ func (sh *shard) drainSubmit() {
 // admit applies admission control: bounded queue, memlimit high-water.
 func (sh *shard) admit(r *request) {
 	tn := r.tn
-	if cur := tn.sh.Load(); cur != sh {
-		// Stale submit: the tenant migrated between the HTTP layer's shard
-		// lookup and this drain. Forward to the owner; if its buffer is
-		// full, answer here without touching engine-owned tenant state
-		// (that belongs to the owner's goroutine now).
-		select {
-		case cur.submit <- r:
-		default:
-			tn.shed.Inc()
-			sh.kShed.Inc()
-			sh.respond(r, http.StatusServiceUnavailable, "shed: submit queue full\n")
-		}
-		return
-	}
 	tn.reqs.Inc()
 	sh.kReqs.Inc()
 	if tn.scope != nil {
 		tn.scope.Counter(telemetry.MServeRequests).Inc()
-	}
-	if tn.migrating {
-		sh.shed(r, "tenant migrating")
-		return
 	}
 	if tn.down && tn.cfg.NoRestart {
 		sh.shed(r, "tenant down")
@@ -588,7 +521,7 @@ func (sh *shard) reap(tn *tenant, now time.Time) {
 				tn.scope.Histogram(telemetry.MServeLatency).Observe(lat)
 			}
 			tn.deaths = 0 // healthy again: reset the backoff ladder
-			sh.respond(r, http.StatusOK, fmt.Sprintf("%s result=%d\n", tn.cfg.Name, r.th.Result.I))
+			sh.respond(r, http.StatusOK, fmt.Sprintf("%s result=%d\n", tn.name, r.th.Result.I))
 		}
 		tn.inflight = keep
 		tn.infl.Set(uint64(len(tn.inflight)))
@@ -613,9 +546,7 @@ func (sh *shard) fail(r *request, reason string) {
 // markDown records a tenant death: queued requests are shed immediately
 // (they never hang waiting on a corpse), in-flight ones fail as their
 // threads die, and the supervisor schedules a restart with exponential
-// backoff — the paper's administrator, automated. A quiesced (migrating)
-// tenant's death is the expected end of its old incarnation: no
-// post-mortem, no backoff, no restart here — the target shard restarts it.
+// backoff — the paper's administrator, automated.
 func (sh *shard) markDown(tn *tenant, now time.Time) {
 	tn.down = true
 	for _, r := range tn.inflight {
@@ -627,10 +558,6 @@ func (sh *shard) markDown(tn *tenant, now time.Time) {
 	}
 	tn.queue = tn.queue[:0]
 	tn.qdepth.Set(0)
-	if tn.migrating {
-		sh.publish(tn)
-		return
-	}
 	tn.deaths++
 	// Post-mortem after the queue drain, so the dump carries every span
 	// this death produced (the 502s reaped above and the sheds just made).
@@ -650,7 +577,7 @@ func (sh *shard) markDown(tn *tenant, now time.Time) {
 // supervisor works on demand, not on a timer.
 func (sh *shard) checkRestarts(now time.Time) {
 	for _, tn := range sh.tenants {
-		if !tn.down || tn.migrating || tn.cfg.NoRestart || now.Before(tn.nextRestart) {
+		if !tn.down || tn.cfg.NoRestart || now.Before(tn.nextRestart) {
 			continue
 		}
 		if tn.cfg.Lazy && len(tn.queue) == 0 {
@@ -749,9 +676,9 @@ func (sh *shard) idle() bool {
 	return true
 }
 
-// idleWait blocks until a submission, a control function, shutdown, or
-// the next timed obligation: a down tenant's restart, or the deadline of
-// a request queued behind one.
+// idleWait blocks until a submission, shutdown, or the next timed
+// obligation: a down tenant's restart, or the deadline of a request
+// queued behind one.
 func (sh *shard) idleWait() {
 	var timer <-chan time.Time
 	if d, ok := sh.nextWake(); ok {
@@ -760,8 +687,6 @@ func (sh *shard) idleWait() {
 	select {
 	case r := <-sh.submit:
 		sh.admit(r)
-	case fn := <-sh.ctrl:
-		fn()
 	case <-sh.quit:
 	case <-timer:
 	}
@@ -781,7 +706,7 @@ func (sh *shard) nextWake() (time.Duration, bool) {
 		}
 		// A cold lazy tenant has no timed obligation: it wakes on the
 		// submission that queues its first request, not on a timer.
-		if !tn.cfg.NoRestart && !tn.migrating && !(tn.cfg.Lazy && len(tn.queue) == 0) {
+		if !tn.cfg.NoRestart && !(tn.cfg.Lazy && len(tn.queue) == 0) {
 			earlier(tn.nextRestart)
 		}
 		for _, r := range tn.queue {
@@ -802,7 +727,6 @@ func (sh *shard) nextWake() (time.Duration, bool) {
 // and steps the scheduler until all processes reclaim — leaving the VM
 // quiescent for post-teardown audits.
 func (sh *shard) shutdown() {
-	sh.drainCtrl()
 	sh.refuseSubmitted()
 	for _, tn := range sh.tenants {
 		for _, r := range tn.queue {

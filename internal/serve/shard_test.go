@@ -37,20 +37,19 @@ func TestShardedE2E(t *testing.T) {
 	for i := range tenants {
 		tenants[i] = TenantConfig{Route: fmt.Sprintf("/t%d", i), WorkUnits: 20}
 	}
-	s, base := startSharded(t, 4, Config{Place: LeastLoaded}, tenants)
+	s, base := startSharded(t, 4, Config{}, tenants)
 
 	if s.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", s.Shards())
 	}
-	// LeastLoaded placement on an idle plane round-robins by tenant count:
+	// The default placement (LeastLoaded) round-robins by tenant count:
 	// 8 tenants over 4 shards must land 2 per shard.
 	perShard := make(map[int]int)
-	for i := range tenants {
-		sh := s.ShardOf(tenants[i].Route)
-		if sh < 0 || sh >= 4 {
-			t.Fatalf("ShardOf(%s) = %d", tenants[i].Route, sh)
+	for _, row := range s.Rows() {
+		if row.Shard < 0 || row.Shard >= 4 {
+			t.Fatalf("%s on shard %d", row.Route, row.Shard)
 		}
-		perShard[sh]++
+		perShard[row.Shard]++
 	}
 	for sh, n := range perShard {
 		if n != 2 {
@@ -117,7 +116,7 @@ func TestShardedIsolation(t *testing.T) {
 		{Route: "/c", WorkUnits: 30, MemKB: 8192},
 		{Route: "/hog", Hog: true, MemKB: 1024, QueueMax: 32, ShedFraction: -1},
 	}
-	s, base := startSharded(t, 2, Config{Place: LeastLoaded, RequestTimeout: 20 * time.Second}, tenants)
+	s, base := startSharded(t, 2, Config{RequestTimeout: 20 * time.Second}, tenants)
 
 	const total = 1200
 	var neighbourBad, hogUnanswered, hung atomic.Uint64
@@ -171,131 +170,8 @@ func TestShardedIsolation(t *testing.T) {
 	auditAllShards(t, s)
 }
 
-// TestMigrateUnderTraffic moves a tenant between shards while clients
-// hammer it: during the move requests may shed 503 but must never hang
-// or error with anything but 502/503; after the move the tenant serves
-// 200s from the target shard and both shards audit green.
-func TestMigrateUnderTraffic(t *testing.T) {
-	tenants := []TenantConfig{
-		{Route: "/hot", WorkUnits: 20},
-		{Route: "/other", WorkUnits: 20},
-	}
-	s, base := startSharded(t, 2, Config{
-		Place:          func(route string, loads []ShardLoad) int { return 0 }, // everything starts on shard 0
-		RequestTimeout: 10 * time.Second,
-	}, tenants)
-
-	if got := s.ShardOf("/hot"); got != 0 {
-		t.Fatalf("ShardOf(/hot) = %d before migration, want 0", got)
-	}
-
-	stop := make(chan struct{})
-	var badStatus, hung atomic.Uint64
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &http.Client{Timeout: 20 * time.Second}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := client.Post(base+"/hot", "text/plain", strings.NewReader("x"))
-				if err != nil {
-					hung.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK &&
-					resp.StatusCode != http.StatusBadGateway &&
-					resp.StatusCode != http.StatusServiceUnavailable {
-					badStatus.Add(1)
-				}
-			}
-		}()
-	}
-
-	time.Sleep(50 * time.Millisecond) // traffic in flight
-	if err := s.Migrate("/hot", 1); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if got := s.ShardOf("/hot"); got != 1 {
-		t.Fatalf("ShardOf(/hot) = %d after migration, want 1", got)
-	}
-	time.Sleep(50 * time.Millisecond) // traffic lands on the new shard
-	close(stop)
-	wg.Wait()
-
-	if hung.Load() != 0 {
-		t.Errorf("%d requests hung or failed at the HTTP layer during migration", hung.Load())
-	}
-	if badStatus.Load() != 0 {
-		t.Errorf("%d responses outside 200/502/503 during migration", badStatus.Load())
-	}
-
-	// The moved tenant must serve from the target shard.
-	status, body := get(t, http.DefaultClient, base+"/hot", "after")
-	if status != http.StatusOK {
-		t.Fatalf("post-migration request: status %d body %q", status, body)
-	}
-	// The bystander on the source shard was never disturbed.
-	if status, body := get(t, http.DefaultClient, base+"/other", "x"); status != http.StatusOK {
-		t.Fatalf("bystander after migration: status %d body %q", status, body)
-	}
-	var hotRow TenantRow
-	for _, row := range s.Rows() {
-		if row.Route == "/hot" {
-			hotRow = row
-		}
-	}
-	if hotRow.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1 (row %+v)", hotRow.Migrations, hotRow)
-	}
-	if hotRow.Shard != 1 {
-		t.Errorf("row shard = %d, want 1", hotRow.Shard)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	auditAllShards(t, s)
-}
-
-// TestMigrateErrors pins the migration error surface: unknown routes and
-// out-of-range shards fail, moving onto the current shard is a no-op.
-func TestMigrateErrors(t *testing.T) {
-	s, _ := startSharded(t, 2, Config{
-		Place: func(route string, loads []ShardLoad) int { return 0 },
-	}, []TenantConfig{{Route: "/t", WorkUnits: 10}})
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		auditAllShards(t, s)
-	}()
-
-	if err := s.Migrate("/nope", 1); err == nil {
-		t.Error("Migrate unknown route: want error")
-	}
-	if err := s.Migrate("/t", 7); err == nil {
-		t.Error("Migrate to shard 7 of 2: want error")
-	}
-	if err := s.Migrate("/t", -1); err == nil {
-		t.Error("Migrate to shard -1: want error")
-	}
-	if err := s.Migrate("/t", 0); err != nil {
-		t.Errorf("Migrate onto current shard: %v, want no-op", err)
-	}
-	if got := s.ShardOf("/t"); got != 0 {
-		t.Errorf("ShardOf(/t) = %d after no-op migrate, want 0", got)
-	}
-}
-
-// TestLeastLoaded pins the placement hook's tie-breaking order:
-// queue+inflight, then tenant count, then cycles.
+// TestLeastLoaded pins the default placement: fewest tenants, the first
+// shard on ties.
 func TestLeastLoaded(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -303,11 +179,8 @@ func TestLeastLoaded(t *testing.T) {
 		want  int
 	}{
 		{"empty plane", []ShardLoad{{Shard: 0}, {Shard: 1}}, 0},
-		{"queue wins", []ShardLoad{{Shard: 0, Queue: 5}, {Shard: 1, Queue: 1}}, 1},
-		{"inflight counts", []ShardLoad{{Shard: 0, Inflight: 3}, {Shard: 1, Queue: 1}}, 1},
-		{"tenants break ties", []ShardLoad{{Shard: 0, Tenants: 2}, {Shard: 1, Tenants: 1}}, 1},
-		{"cycles break ties", []ShardLoad{{Shard: 0, Cycles: 100}, {Shard: 1, Cycles: 50}}, 1},
-		{"first wins full tie", []ShardLoad{{Shard: 0}, {Shard: 1}, {Shard: 2}}, 0},
+		{"fewest tenants", []ShardLoad{{Shard: 0, Tenants: 2}, {Shard: 1, Tenants: 1}}, 1},
+		{"first wins tie", []ShardLoad{{Shard: 0, Tenants: 1}, {Shard: 1}, {Shard: 2}}, 1},
 	}
 	for _, tc := range cases {
 		if got := LeastLoaded("/r", tc.loads); got != tc.want {
@@ -316,12 +189,9 @@ func TestLeastLoaded(t *testing.T) {
 	}
 }
 
-// TestPlacement pins registration-time placement: the hash default is
-// stable, a custom hook is obeyed, and out-of-range hooks are rejected.
+// TestPlacement pins registration-time placement: a custom hook is
+// obeyed, and out-of-range hooks are rejected.
 func TestPlacement(t *testing.T) {
-	if a, b := hashShard("/zone0", 4), hashShard("/zone0", 4); a != b {
-		t.Errorf("hashShard not stable: %d vs %d", a, b)
-	}
 	var placed []string
 	s, err := NewSharded(core.Config{Engine: core.EngineJITOpt}, Config{
 		Shards: 3,
@@ -333,12 +203,13 @@ func TestPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
+	defer s.Close()
 	if len(placed) != 2 {
 		t.Errorf("placement hook called %d times, want 2", len(placed))
 	}
-	for _, route := range []string{"/a", "/b"} {
-		if got := s.ShardOf(route); got != 2 {
-			t.Errorf("ShardOf(%s) = %d, want 2", route, got)
+	for _, row := range s.Rows() {
+		if row.Shard != 2 {
+			t.Errorf("%s on shard %d, want 2", row.Route, row.Shard)
 		}
 	}
 
@@ -362,9 +233,9 @@ func TestShardsRunCachedCodeConcurrently(t *testing.T) {
 		{Route: "/w0", Program: Wide, WorkUnits: 20},
 		{Route: "/w1", Program: Wide, WorkUnits: 20},
 	}
-	s, _, _ := startServer(t, core.Config{CodeCache: true}, Config{Shards: 2, Place: LeastLoaded}, tenants)
-	if s.ShardOf("/w0") == s.ShardOf("/w1") {
-		t.Fatalf("both tenants on shard %d", s.ShardOf("/w0"))
+	s, _, _ := startServer(t, core.Config{CodeCache: true}, Config{Shards: 2}, tenants)
+	if rows := s.Rows(); rows[0].Shard == rows[1].Shard {
+		t.Fatalf("both tenants on shard %d", rows[0].Shard)
 	}
 	const perRoute = 40
 	replies := make([][]string, len(tenants))
@@ -416,15 +287,16 @@ func TestShardsRunCachedCodeConcurrently(t *testing.T) {
 func TestAdmitDispatchesBeforeShedding(t *testing.T) {
 	const inflight, queue, excess = 8, 1, 2
 	const burst = inflight + queue + excess
-	s, _, _ := startServer(t, core.Config{}, Config{}, []TenantConfig{
+	s, err := NewSharded(core.Config{Engine: core.EngineJITOpt}, Config{Shards: 1}, []TenantConfig{
 		{Route: "/b", WorkUnits: 2000, QueueMax: queue, MaxInflight: inflight}})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
 	defer s.Close()
 	sh := s.shards[0]
 
-	// Hold the engine until the whole burst waits in its submit buffer.
-	held, release := make(chan struct{}), make(chan struct{})
-	sh.ctrl <- func() { close(held); <-release }
-	<-held
+	// The whole burst waits in the submit buffer before the engine loop
+	// exists, so its first pass admits all of it.
 	statuses := make(chan int, burst)
 	for i := 0; i < burst; i++ {
 		go func() {
@@ -435,7 +307,9 @@ func TestAdmitDispatchesBeforeShedding(t *testing.T) {
 	for len(sh.submit) < burst {
 		time.Sleep(100 * time.Microsecond)
 	}
-	close(release)
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
 
 	count := map[int]int{}
 	for i := 0; i < burst; i++ {

@@ -75,9 +75,6 @@ const (
 	// EvServeRestart: the serving plane restarted a dead tenant process.
 	// A = consecutive deaths before this restart. Detail = tenant route.
 	EvServeRestart
-	// EvServeMigrate: a tenant was migrated between engine shards.
-	// A = source shard, B = target shard. Detail = tenant route.
-	EvServeMigrate
 	// EvMemRebalance: the memory-balancer controller redistributed the
 	// global budget across process memlimits. A = budget bytes,
 	// B = heaps whose limits were updated this round. Detail carries
@@ -114,7 +111,6 @@ var kindNames = [kindMax]string{
 	EvGCOverlap:        "gc-overlap",
 	EvServeShed:        "serve-shed",
 	EvServeRestart:     "serve-restart",
-	EvServeMigrate:     "serve-migrate",
 	EvMemRebalance:     "membal-rebalance",
 	EvCheckpoint:       "proc-checkpoint",
 	EvFork:             "proc-fork",
@@ -142,7 +138,6 @@ var fieldNames = [kindMax][2]string{
 	EvGCOverlap:    {"max_active", ""},
 	EvServeShed:    {"queue_depth", ""},
 	EvServeRestart: {"deaths", ""},
-	EvServeMigrate: {"from_shard", "to_shard"},
 	EvMemRebalance: {"budget_bytes", "updated"},
 	EvCheckpoint:   {"template_bytes", "objects"},
 	EvFork:         {"copied_bytes", "template_pid"},

@@ -304,7 +304,6 @@ const (
 	MServeShed       = "serve.shed"        // counter: 503s (queue/memlimit saturation)
 	MServeErrors     = "serve.errors"      // counter: 5xx from a dying/dead tenant
 	MServeRestarts   = "serve.restarts"    // counter: tenant process restarts
-	MServeMigrations = "serve.migrations"  // counter: tenant shard migrations
 	MServeCaught     = "serve.caught"      // counter: requests that shared a death of the tenant's process
 	MServeQueueDepth = "serve.queue_depth" // gauge: requests waiting for dispatch
 	MServeInflight   = "serve.inflight"    // gauge: requests executing in the VM
