@@ -173,14 +173,12 @@ func (a *asm) directive(line string) error {
 				return fmt.Errorf("bad .method modifier %q", kw)
 			}
 		}
-		sig := fields[2]
-		if _, err := ParseSig(sig); err != nil {
+		m := NewMethodDef(a.cls.Name, fields[1], fields[2], static)
+		if _, err := m.Signature(); err != nil {
 			return err
 		}
-		a.meth = &MethodDef{
-			Name: fields[1], Sig: sig, Static: static,
-			MaxStack: 16, MaxLocals: 16,
-		}
+		a.meth = m
+		a.meth.MaxStack, a.meth.MaxLocals = 16, 16
 		if !native {
 			a.meth.Code = &Code{}
 		}

@@ -9,14 +9,19 @@ import (
 // Module is a linkable unit: the output of the assembler and the input to a
 // class loader. It is pure data — no runtime state — so one Module can be
 // defined into any number of namespaces. A module must not be mutated
-// after its first Hash call: the content hash is memoized (the shared
-// code cache keys every load by it, and rehashing a large module per
-// process would dominate the attach it exists to make cheap).
+// after its first Hash or DefinitionOrder call: both are memoized (the
+// shared code cache keys every load by the hash, and every namespace that
+// defines the module walks the same order), so re-deriving them per
+// process would dominate the starts they exist to make cheap.
 type Module struct {
 	Classes []*ClassDef
 
 	hashOnce sync.Once
 	hash     [32]byte
+
+	orderOnce sync.Once
+	order     []*ClassDef
+	orderErr  error
 }
 
 // ClassDef describes one class symbolically.
@@ -34,7 +39,10 @@ type FieldDef struct {
 	Static bool
 }
 
-// MethodDef describes one method body.
+// MethodDef describes one method body. Name and Sig must not change
+// once the definition is built: a definition made by NewMethodDef (every
+// assembled or builder-made one) carries its keys precomputed, so every
+// namespace that defines it shares the same two strings.
 type MethodDef struct {
 	Name      string
 	Sig       string // e.g. "(ILjava/lang/String;)V"
@@ -42,11 +50,54 @@ type MethodDef struct {
 	MaxStack  int
 	MaxLocals int
 	Code      *Code
+
+	class, key, nativeKey string
+	sig                   *Sig
+}
+
+// NewMethodDef returns the definition of method name with signature sig
+// in class, its keys and parsed signature computed once.
+func NewMethodDef(class, name, sig string, static bool) *MethodDef {
+	m := &MethodDef{
+		Name: name, Sig: sig, Static: static,
+		class: class, key: name + sig, nativeKey: NativeKey(class, name, sig),
+	}
+	if s, err := ParseSig(sig); err == nil {
+		m.sig = &s
+	}
+	return m
+}
+
+// Signature returns m's parsed signature. Callers must not modify it.
+func (m *MethodDef) Signature() (Sig, error) {
+	if m.sig != nil {
+		return *m.sig, nil
+	}
+	return ParseSig(m.Sig)
 }
 
 // Key returns the name+signature key that identifies a method within its
 // class for resolution and overriding.
-func (m *MethodDef) Key() string { return m.Name + m.Sig }
+func (m *MethodDef) Key() string {
+	if m.key != "" {
+		return m.key
+	}
+	return m.Name + m.Sig
+}
+
+// NativeKey returns the key a native implementation of m, declared in
+// class, is registered under.
+func (m *MethodDef) NativeKey(class string) string {
+	if m.nativeKey != "" && m.class == class {
+		return m.nativeKey
+	}
+	return NativeKey(class, m.Name, m.Sig)
+}
+
+// NativeKey is the registration key for a native method implementation.
+func NativeKey(class, name, sig string) string {
+	return class + "." + name + sig
+}
 
 // Class looks up a class definition by name.
 func (m *Module) Class(name string) (*ClassDef, bool) {
@@ -56,6 +107,47 @@ func (m *Module) Class(name string) (*ClassDef, bool) {
 		}
 	}
 	return nil, false
+}
+
+// DefinitionOrder returns m's classes ordered so that every superclass
+// defined in m precedes its subclasses (supers outside m resolve through
+// the loading namespace). It is computed once per module.
+func (m *Module) DefinitionOrder() ([]*ClassDef, error) {
+	m.orderOnce.Do(func() { m.order, m.orderErr = m.topoOrder() })
+	return m.order, m.orderErr
+}
+
+func (m *Module) topoOrder() ([]*ClassDef, error) {
+	inModule := make(map[string]*ClassDef, len(m.Classes))
+	for _, c := range m.Classes {
+		inModule[c.Name] = c
+	}
+	out := make([]*ClassDef, 0, len(m.Classes))
+	state := make(map[string]int, len(m.Classes)) // 0 unvisited, 1 visiting, 2 done
+	var visit func(c *ClassDef) error
+	visit = func(c *ClassDef) error {
+		switch state[c.Name] {
+		case 1:
+			return fmt.Errorf("bytecode: inheritance cycle through %q", c.Name)
+		case 2:
+			return nil
+		}
+		state[c.Name] = 1
+		if sup, ok := inModule[c.Super]; ok {
+			if err := visit(sup); err != nil {
+				return err
+			}
+		}
+		state[c.Name] = 2
+		out = append(out, c)
+		return nil
+	}
+	for _, c := range m.Classes {
+		if err := visit(c); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Merge appends the classes of other into m, rejecting duplicates.

@@ -26,7 +26,7 @@ func Verify(m *MethodDef) error {
 	if n == 0 {
 		return fmt.Errorf("verify %s%s: empty code", m.Name, m.Sig)
 	}
-	sig, err := ParseSig(m.Sig)
+	sig, err := m.Signature()
 	if err != nil {
 		return fmt.Errorf("verify %s: %w", m.Name, err)
 	}

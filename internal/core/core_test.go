@@ -906,15 +906,14 @@ CHECK:	aload 0
 	}
 }
 
-// The process abstraction's fixed costs hold their Go allocation counts,
-// which unlike host time do not depend on the host: each stays under
-// ⌊1.15 × the count measured when its ceiling was set⌋.
 // TestIdleVMBytes pins what one VM that nobody traces costs the host: its
 // telemetry rings grow on first use, so an idle VM allocates no event or
 // span buffers (the rings were 4.5 MiB of its 5.08 MB when allocated up
-// front).
+// front), and the class library is built once per host process, so a VM
+// pays only for its own namespace (296 KB per VM when each built its own).
 func TestIdleVMBytes(t *testing.T) {
-	const runs, ceiling = 20, 512 << 10
+	const runs, ceiling = 20, 160 << 10
+	newTestVM(t) // the first VM of the host process builds the library image
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -930,6 +929,23 @@ func TestIdleVMBytes(t *testing.T) {
 	}
 }
 
+// TestNewVMAllocationCeiling pins a VM start to its per-namespace work:
+// with the class library image built once per host process, NewVM
+// defines classes, statics, links and vtables and runs clinits, but no
+// longer assembles, verifies or copies the library (3 783 Go allocations
+// when it did).
+func TestNewVMAllocationCeiling(t *testing.T) {
+	const ceiling = 667
+	n := testing.AllocsPerRun(20, func() { newTestVM(t) })
+	t.Logf("%v allocations per NewVM", n)
+	if n > ceiling {
+		t.Errorf("NewVM: %v Go allocations, ceiling %v", n, ceiling)
+	}
+}
+
+// The process abstraction's fixed costs hold their Go allocation counts,
+// which unlike host time do not depend on the host: each stays under
+// about 1.05 × the count measured when its ceiling was set.
 func TestProcessAllocationCeilings(t *testing.T) {
 	opts := ProcessOptions{MemLimit: 8 << 20}
 	// incarnation makes a process with mk, runs the VM for budget cycles
@@ -987,9 +1003,9 @@ func TestProcessAllocationCeilings(t *testing.T) {
 		max  float64
 		op   func()
 	}{
-		{"lifecycle", 292, incarnation(plain, 200_000, proc(plain, spin, "t/P", "main()V"))},
-		{"init-coldstart", 386, incarnation(vm, 0, proc(vm, warm))},
-		{"fork-coldstart", 299, incarnation(vm, 0, func() *Process {
+		{"lifecycle", 180, incarnation(plain, 200_000, proc(plain, spin, "t/P", "main()V"))},
+		{"init-coldstart", 241, incarnation(vm, 0, proc(vm, warm))},
+		{"fork-coldstart", 178, incarnation(vm, 0, func() *Process {
 			clone, err := tpl.Fork("clone", opts)
 			if err != nil {
 				t.Fatal(err)
@@ -998,8 +1014,8 @@ func TestProcessAllocationCeilings(t *testing.T) {
 		})},
 		// NetWide's cold start is compiling a wide method surface: each
 		// process privately, or once into the cache and then attached.
-		{"codecache-off", 9524, incarnation(vm, 0, proc(vm, wide, jserv.NetWideClass, "selftest()I"))},
-		{"codecache-on", 1344, incarnation(cached, 0, proc(cached, wide, jserv.NetWideClass, "selftest()I"))},
+		{"codecache-off", 7969, incarnation(vm, 0, proc(vm, wide, jserv.NetWideClass, "selftest()I"))},
+		{"codecache-on", 710, incarnation(cached, 0, proc(cached, wide, jserv.NetWideClass, "selftest()I"))},
 	} {
 		n := testing.AllocsPerRun(20, c.op)
 		t.Logf("%s: %v allocations per op", c.name, n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bytecode"
 	"repro/internal/interp"
@@ -15,9 +16,11 @@ import (
 // methods on kaffeos/Kernel (process control, resource introspection) and
 // kaffeos/Shared (shared-heap lifecycle). All of them run in kernel mode:
 // a thread inside one cannot be terminated until the call completes, which
-// is what keeps kernel state consistent under Process.Kill.
-func kernelModule() *bytecode.Module {
-	return bytecode.MustAssemble(`
+// is what keeps kernel state consistent under Process.Kill. Like the class
+// library it is assembled and verified once per host process; only its
+// natives (kernelNatives) are bound to one VM.
+var kernelModule = sync.OnceValue(func() *bytecode.Module {
+	m := bytecode.MustAssemble(`
 .class kaffeos/Kernel
 .method currentPid ()I static native
 .end
@@ -60,7 +63,11 @@ func kernelModule() *bytecode.Module {
 .end
 .end
 `)
-}
+	if err := bytecode.VerifyModule(m); err != nil {
+		panic(fmt.Sprintf("core: kernel module: %v", err))
+	}
+	return m
+})
 
 // procOf extracts the calling process or raises an internal error.
 func procOf(t *interp.Thread) (*Process, error) {

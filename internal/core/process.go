@@ -108,8 +108,12 @@ type Process struct {
 	intern         map[string]*object.Object
 	// modules records every module defined into the namespace, in load
 	// order, so Checkpoint can replay the namespace into forks.
-	modules   []*bytecode.Module
+	modules []*bytecode.Module
+	// rng is the process' Go random source, seeded with seed on first
+	// use (most processes never draw from it). Touched only by the
+	// goroutine running the VM.
 	rng       *rand.Rand
+	seed      int64
 	cpuCycles atomic.Uint64
 	cpuLimit  uint64
 	ioBytes   atomic.Uint64
@@ -174,7 +178,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 		threads:   make(map[*interp.Thread]struct{}),
 		threadFor: make(map[*object.Object]*interp.Thread),
 		intern:    make(map[string]*object.Object),
-		rng:       rand.New(rand.NewSource(opts.Seed + int64(pid))),
+		seed:      opts.Seed + int64(pid),
 		cpuLimit:  opts.CPULimit,
 		ioLimit:   opts.IOLimit,
 	}
@@ -192,9 +196,8 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
-	p.Loader.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
 
-	if err := vm.defineModule(p, vm.Lib.ReloadedModule); err != nil {
+	if err := p.Loader.DefinePreverified(vm.Lib.ReloadedModule); err != nil {
 		p.releaseEarly()
 		return nil, fmt.Errorf("core: reloaded library for %q: %w", name, err)
 	}
@@ -212,6 +215,14 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	vm.procs[pid] = p
 	vm.mu.Unlock()
 	return p, nil
+}
+
+// random returns the process' random source, creating it on first use.
+func (p *Process) random() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
 }
 
 // releaseEarly tears down a half-built process (creation failure); a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -222,7 +221,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 		threads:   make(map[*interp.Thread]struct{}),
 		threadFor: make(map[*object.Object]*interp.Thread),
 		intern:    make(map[string]*object.Object),
-		rng:       rand.New(rand.NewSource(opts.Seed + int64(pid))),
+		seed:      opts.Seed + int64(pid),
 		cpuLimit:  opts.CPULimit,
 		ioLimit:   opts.IOLimit,
 	}
@@ -237,7 +236,6 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
-	p.Loader.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
 
 	unwind := func(err error) (*Process, error) {
 		vm.SharedMgr.DetachAll(p)

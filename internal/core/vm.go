@@ -163,9 +163,11 @@ type VM struct {
 	// set and the engine compiles).
 	CodeMgr *codecache.Manager
 	Sched   *sched.Scheduler
-	Lib     *classlib.Library
-	Env     *interp.Env
-	Stats   *barrier.Stats
+	// Lib is the class library image, built once per host process and
+	// shared read-only by every VM.
+	Lib   *classlib.Library
+	Env   *interp.Env
+	Stats *barrier.Stats
 	// Tel routes every subsystem's telemetry: metrics update always, the
 	// event ring fills only while tracing is enabled.
 	Tel *telemetry.Hub
@@ -255,14 +257,16 @@ func NewVM(cfg Config) (*VM, error) {
 		vm.CodeMgr = codecache.NewManager(&vm.SharedMgr.Ledger, codeBase)
 	}
 
+	// The library and kernel modules were verified once per host process
+	// when they were built; the shared loader only defines them.
 	vm.Lib = classlib.New()
 	vm.Shared = loader.NewShared(vm.KernelHeap)
 	vm.Shared.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
 	vm.Shared.RegisterNatives(vm.kernelNatives())
-	if err := vm.Shared.DefineModule(vm.Lib.SharedModule); err != nil {
+	if err := vm.Shared.DefinePreverified(vm.Lib.SharedModule); err != nil {
 		return nil, fmt.Errorf("core: defining shared library: %w", err)
 	}
-	if err := vm.Shared.DefineModule(kernelModule()); err != nil {
+	if err := vm.Shared.DefinePreverified(kernelModule()); err != nil {
 		return nil, fmt.Errorf("core: defining kernel classes: %w", err)
 	}
 
@@ -396,7 +400,7 @@ func (vm *VM) buildEnv() *interp.Env {
 	env.NowCycles = func() uint64 { return vm.Sched.Now() }
 	env.RandFor = func(t *interp.Thread) *rand.Rand {
 		if p, ok := t.Owner.(*Process); ok {
-			return p.rng
+			return p.random()
 		}
 		return nil
 	}

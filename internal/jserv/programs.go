@@ -301,16 +301,25 @@ func netWideSource() string {
 	return b.String()
 }
 
-// The generated module is memoized: it is large (~12k instructions), the
-// source never varies, and modules are read-only to loaders, so every
-// tenant — and every process in the go benchmarks — can define from the
-// same one. Assembling per incarnation would also bill module parsing to
-// both arms of the codecache A/B, diluting the compile-cost signal the
-// workload exists to expose.
+// Every program module is assembled once per host process and then
+// shared: the sources never vary and modules are read-only to loaders, so
+// every tenant — and every process in the go benchmarks — can define from
+// the same one. NetWide's is the large one (~12k instructions); assembling
+// it per incarnation would also bill module parsing to both arms of the
+// codecache A/B, diluting the compile-cost signal the workload exists to
+// expose.
 var (
-	wideOnce   sync.Once
-	wideModule *bytecode.Module
+	netServletModule  = assembleOnce(func() string { return netServletSource })
+	netHogModule      = assembleOnce(func() string { return netHogSource })
+	netDispatchModule = assembleOnce(func() string { return netDispatchSource + netServletSource + netHogSource })
+	netWarmModule     = assembleOnce(func() string { return netWarmSource })
+	netWideModule     = assembleOnce(netWideSource)
+	keeperModule      = assembleOnce(func() string { return keeperSource })
 )
+
+func assembleOnce(src func() string) func() *bytecode.Module {
+	return sync.OnceValue(func() *bytecode.Module { return bytecode.MustAssemble(src()) })
+}
 
 // keeperSource is the per-tenant resident thread: it only sleeps, keeping
 // the process alive between requests (a process whose last thread exits is
@@ -328,30 +337,25 @@ LOOP:	ldc 1000
 .end`
 
 // NetServletModule returns the request-driven servlet program.
-func NetServletModule() *bytecode.Module { return bytecode.MustAssemble(netServletSource) }
+func NetServletModule() *bytecode.Module { return netServletModule() }
 
 // NetHogModule returns the request-driven MemHog program.
-func NetHogModule() *bytecode.Module { return bytecode.MustAssemble(netHogSource) }
+func NetHogModule() *bytecode.Module { return netHogModule() }
 
 // NetDispatchModule returns the shared-process program: NetDispatch with
 // the NetServlet and NetHog bodies it calls, in one module.
-func NetDispatchModule() *bytecode.Module {
-	return bytecode.MustAssemble(netDispatchSource + netServletSource + netHogSource)
-}
+func NetDispatchModule() *bytecode.Module { return netDispatchModule() }
 
 // NetWarmModule returns the expensive-startup servlet: a <clinit> warm
 // table whose construction dominates cold start, built for the
 // template/fork serving path.
-func NetWarmModule() *bytecode.Module { return bytecode.MustAssemble(netWarmSource) }
+func NetWarmModule() *bytecode.Module { return netWarmModule() }
 
 // NetWideModule returns the compile-heavy servlet: a wide, clinit-free
 // method surface whose per-process JIT cost dominates cold start — the
 // workload the shared code cache is for.
-func NetWideModule() *bytecode.Module {
-	wideOnce.Do(func() { wideModule = bytecode.MustAssemble(netWideSource()) })
-	return wideModule
-}
+func NetWideModule() *bytecode.Module { return netWideModule() }
 
 // KeeperModule returns the keep-alive program the serving plane loads into
 // every tenant process alongside its handler.
-func KeeperModule() *bytecode.Module { return bytecode.MustAssemble(keeperSource) }
+func KeeperModule() *bytecode.Module { return keeperModule() }

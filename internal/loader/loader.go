@@ -32,8 +32,10 @@ type Loader struct {
 	Heap *Heap
 
 	classes map[string]*object.Class
-	natives map[string]any
-	kernel  map[string]bool
+	// natives are the registered native tables, read in place: the class
+	// library's tables are built once per host process and every shared
+	// loader reads the same maps.
+	natives []nativeTable
 
 	// clinits are <clinit> methods awaiting execution by the VM layer
 	// (the loader cannot run bytecode itself).
@@ -43,6 +45,13 @@ type Loader struct {
 // Heap aliases heap.Heap to keep the public field name short.
 type Heap = heap.Heap
 
+// nativeTable is one RegisterNatives call: implementations by native key
+// and the keys that run in kernel mode.
+type nativeTable struct {
+	impls  map[string]any
+	kernel map[string]bool
+}
+
 // NewShared creates the shared system loader, whose metadata lives on the
 // kernel heap.
 func NewShared(kernelHeap *heap.Heap) *Loader {
@@ -50,8 +59,6 @@ func NewShared(kernelHeap *heap.Heap) *Loader {
 		Tag:     "shared",
 		Heap:    kernelHeap,
 		classes: make(map[string]*object.Class),
-		natives: make(map[string]any),
-		kernel:  make(map[string]bool),
 	}
 }
 
@@ -63,22 +70,32 @@ func NewProcess(tag string, h *heap.Heap, shared *Loader) *Loader {
 		Delegate: shared,
 		Heap:     h,
 		classes:  make(map[string]*object.Class),
-		natives:  make(map[string]any),
-		kernel:   make(map[string]bool),
 	}
 }
 
 // RegisterNatives makes native implementations available to classes defined
-// later. kernelKeys marks natives that run in kernel mode.
+// later. kernelKeys marks natives that run in kernel mode. The maps are
+// read in place, not copied, so they must not change afterwards; a key
+// registered again overrides the earlier implementation.
 func (l *Loader) RegisterNatives(impls map[string]any, kernelKeys map[string]bool) {
-	for k, v := range impls {
-		l.natives[k] = v
-	}
-	for k, v := range kernelKeys {
-		if v {
-			l.kernel[k] = true
+	l.natives = append(l.natives, nativeTable{impls, kernelKeys})
+}
+
+// native resolves the implementation registered for key in this loader,
+// falling back to the shared loader's (library code reloaded per process
+// uses the natives registered there), and whether either marks it kernel
+// mode.
+func (l *Loader) native(key string) (impl any, kernel bool) {
+	for d := l; d != nil; d = d.Delegate {
+		for i := len(d.natives) - 1; i >= 0; i-- {
+			t := d.natives[i]
+			if impl == nil {
+				impl = t.impls[key]
+			}
+			kernel = kernel || t.kernel[key]
 		}
 	}
+	return impl, kernel
 }
 
 // Class resolves a class by name, delegating to the shared loader first
@@ -171,9 +188,11 @@ func (l *Loader) DefineModule(m *bytecode.Module) error {
 // DefinePreverified is DefineModule without the bytecode verification
 // pass. Verification is a property of the module's content, not of the
 // namespace, so a caller holding independent proof that this exact
-// content already verified — the shared code cache's content-addressed
-// artifact, whose key is the module hash — may skip re-proving it per
-// process. Statics allocation and clinit queueing still happen.
+// content already verified — the class library and kernel modules,
+// verified when the host process built them, or the shared code cache's
+// content-addressed artifact, whose key is the module hash — may skip
+// re-proving it per namespace. Statics allocation and clinit queueing
+// still happen.
 func (l *Loader) DefinePreverified(m *bytecode.Module) error {
 	return l.define(m, true, true)
 }
@@ -195,9 +214,9 @@ func (l *Loader) define(m *bytecode.Module, fresh, preverified bool) error {
 			return fmt.Errorf("loader %s: %w", l.Tag, err)
 		}
 	}
-	defs, err := l.topoOrder(m)
+	defs, err := m.DefinitionOrder()
 	if err != nil {
-		return err
+		return fmt.Errorf("loader %s: %w", l.Tag, err)
 	}
 	shared := l.Delegate == nil
 	var created []*object.Class
@@ -220,28 +239,23 @@ func (l *Loader) define(m *bytecode.Module, fresh, preverified bool) error {
 			return fmt.Errorf("loader %s: %w", l.Tag, err)
 		}
 		for _, md := range def.Methods {
-			key := object.NativeKey(def.Name, md.Name, md.Sig)
-			native := l.natives[key]
-			if native == nil && l.Delegate != nil {
-				// Process loaders may also use natives registered with the
-				// shared loader (library code reloaded per process).
-				native = l.Delegate.natives[key]
+			// A native implementation binds only to a method declared
+			// without code.
+			var native any
+			var kernel bool
+			if md.Code == nil {
+				key := md.NativeKey(def.Name)
+				if native, kernel = l.native(key); native == nil {
+					return fmt.Errorf("loader %s: method %s has no code and no native", l.Tag, key)
+				}
 			}
-			if native == nil && md.Code == nil {
-				return fmt.Errorf("loader %s: method %s has no code and no native", l.Tag, key)
-			}
-			eff := md
-			if !shared && md.Code != nil {
-				clone := *md
-				clone.Code = md.Code.Clone()
-				eff = &clone
-			}
-			meth, err := c.AddMethod(eff, native)
+			meth, err := c.AddMethod(md, native)
 			if err != nil {
 				return fmt.Errorf("loader %s: %w", l.Tag, err)
 			}
-			if l.kernel[key] || (l.Delegate != nil && l.Delegate.kernel[key]) {
-				meth.Kernel = true
+			meth.Kernel = kernel
+			if !shared && md.Code != nil {
+				meth.Code = md.Code.Clone()
 			}
 		}
 		c.BuildVTable()
@@ -279,42 +293,6 @@ func (l *Loader) PendingClinits() []*object.Method {
 	out := l.clinits
 	l.clinits = nil
 	return out
-}
-
-// topoOrder sorts the module's classes so that superclasses are defined
-// before subclasses. Classes whose supers live outside the module resolve
-// through the namespace as usual.
-func (l *Loader) topoOrder(m *bytecode.Module) ([]*bytecode.ClassDef, error) {
-	inModule := make(map[string]*bytecode.ClassDef, len(m.Classes))
-	for _, c := range m.Classes {
-		inModule[c.Name] = c
-	}
-	var out []*bytecode.ClassDef
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(c *bytecode.ClassDef) error
-	visit = func(c *bytecode.ClassDef) error {
-		switch state[c.Name] {
-		case 1:
-			return fmt.Errorf("loader %s: inheritance cycle through %q", l.Tag, c.Name)
-		case 2:
-			return nil
-		}
-		state[c.Name] = 1
-		if sup, ok := inModule[c.Super]; ok {
-			if err := visit(sup); err != nil {
-				return err
-			}
-		}
-		state[c.Name] = 2
-		out = append(out, c)
-		return nil
-	}
-	for _, c := range m.Classes {
-		if err := visit(c); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // linkClass resolves every method's constant pool and handler types.

@@ -6,11 +6,6 @@ import (
 	"repro/internal/bytecode"
 )
 
-// NativeKey is the registration key for a native method implementation.
-func NativeKey(class, name, sig string) string {
-	return class + "." + name + sig
-}
-
 // ModuleBuilder assembles a bytecode.Module plus a table of native method
 // implementations, for library code defined from Go (the mini class
 // library, test fixtures, workload scaffolding).
@@ -67,20 +62,19 @@ func (cb *ClassBuilder) field(name, desc string, static bool) *ClassBuilder {
 // Native adds a native method implemented by fn (the execution engine
 // defines the concrete function type).
 func (cb *ClassBuilder) Native(name, sig string, static bool, fn any) *ClassBuilder {
-	if _, err := bytecode.ParseSig(sig); err != nil {
+	md := bytecode.NewMethodDef(cb.def.Name, name, sig, static)
+	if _, err := md.Signature(); err != nil {
 		panic(fmt.Sprintf("object: class %s native %s: %v", cb.def.Name, name, err))
 	}
-	cb.def.Methods = append(cb.def.Methods, &bytecode.MethodDef{
-		Name: name, Sig: sig, Static: static,
-	})
-	cb.b.Natives[NativeKey(cb.def.Name, name, sig)] = fn
+	cb.def.Methods = append(cb.def.Methods, md)
+	cb.b.Natives[md.NativeKey(cb.def.Name)] = fn
 	return cb
 }
 
 // KernelNative adds a native method that runs in kernel mode.
 func (cb *ClassBuilder) KernelNative(name, sig string, static bool, fn any) *ClassBuilder {
 	cb.Native(name, sig, static, fn)
-	cb.b.Kernel[NativeKey(cb.def.Name, name, sig)] = true
+	cb.b.Kernel[bytecode.NativeKey(cb.def.Name, name, sig)] = true
 	return cb
 }
 

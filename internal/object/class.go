@@ -106,6 +106,10 @@ type Method struct {
 	// trivial constructor, worked out once from this method's own Links
 	// (0 until then); its encoding belongs to the engine.
 	Ctor atomic.Int64
+
+	// key is the definition's name+sig key, shared with every other
+	// namespace that defines the same MethodDef.
+	key string
 }
 
 // Linked is the resolved form of one constant pool entry.
@@ -116,7 +120,7 @@ type Linked struct {
 }
 
 // Key returns the name+sig resolution key of m.
-func (m *Method) Key() string { return m.Name + m.Sig }
+func (m *Method) Key() string { return m.key }
 
 // IsSpecial reports whether the method never participates in virtual
 // dispatch (constructors and class initializers).
@@ -198,13 +202,23 @@ const headerBytes = 8
 // pools; see Link* helpers). loaderTag names the namespace.
 func NewClass(def *bytecode.ClassDef, super *Class, loaderTag string, shared bool) (*Class, error) {
 	c := &Class{
-		Name:         def.Name,
-		Super:        super,
-		LoaderTag:    loaderTag,
-		Shared:       shared,
-		fieldsByName: make(map[string]*Field),
-		staticByName: make(map[string]*Field),
-		methodByKey:  make(map[string]*Method),
+		Name:        def.Name,
+		Super:       super,
+		LoaderTag:   loaderTag,
+		Shared:      shared,
+		Methods:     make([]*Method, 0, len(def.Methods)),
+		methodByKey: make(map[string]*Method, len(def.Methods)),
+	}
+	instance, static := 0, 0
+	for i := range def.Fields {
+		if def.Fields[i].Static {
+			static++
+		} else {
+			instance++
+		}
+	}
+	if static > 0 {
+		c.staticByName = make(map[string]*Field, static)
 	}
 	refSlots, primSlots := 0, 0
 	var bytes uint64 = headerBytes
@@ -212,7 +226,16 @@ func NewClass(def *bytecode.ClassDef, super *Class, loaderTag string, shared boo
 		refSlots = super.NumRefSlots
 		primSlots = super.NumPrimSlot
 		bytes = super.InstanceBytes
-		for name, f := range super.fieldsByName {
+	}
+	// The name index is read-only once built, so a class that declares no
+	// instance field shares its super's.
+	if super != nil {
+		c.fieldsByName = super.fieldsByName
+	}
+	if instance > 0 {
+		inherited := c.fieldsByName
+		c.fieldsByName = make(map[string]*Field, len(inherited)+instance)
+		for name, f := range inherited {
 			c.fieldsByName[name] = f
 		}
 	}
@@ -266,9 +289,6 @@ func NewClass(def *bytecode.ClassDef, super *Class, loaderTag string, shared boo
 			NumRefSlots:   staticRef,
 			NumPrimSlot:   staticPrim,
 			InstanceBytes: align8(staticBytes),
-			fieldsByName:  map[string]*Field{},
-			staticByName:  map[string]*Field{},
-			methodByKey:   map[string]*Method{},
 		}
 	}
 	return c, nil
@@ -277,7 +297,7 @@ func NewClass(def *bytecode.ClassDef, super *Class, loaderTag string, shared boo
 // AddMethod attaches a runtime method created from def. The loader calls
 // this for every MethodDef (and for natives registered against the class).
 func (c *Class) AddMethod(def *bytecode.MethodDef, native any) (*Method, error) {
-	sig, err := bytecode.ParseSig(def.Sig)
+	sig, err := def.Signature()
 	if err != nil {
 		return nil, fmt.Errorf("class %s method %s: %w", c.Name, def.Name, err)
 	}
@@ -286,6 +306,7 @@ func (c *Class) AddMethod(def *bytecode.MethodDef, native any) (*Method, error) 
 		MaxStack: def.MaxStack, MaxLocals: def.MaxLocals,
 		NArgs: sig.Slots(), VIndex: -1,
 		Native: native,
+		key:    def.Key(),
 	}
 	if sig.Ret != nil {
 		m.HasRet = true
@@ -341,9 +362,6 @@ func NewArrayClass(name string, elem bytecode.Desc, elemClass *Class, root *Clas
 		ElemClass:     elemClass,
 		ElemBytes:     elem.ByteSize(),
 		InstanceBytes: headerBytes + 8, // header + length word
-		fieldsByName:  map[string]*Field{},
-		staticByName:  map[string]*Field{},
-		methodByKey:   map[string]*Method{},
 		VTable:        root.VTable,
 	}
 }

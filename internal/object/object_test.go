@@ -107,7 +107,7 @@ func TestBuilderEndToEnd(t *testing.T) {
 	if len(def.Methods) != 2 {
 		t.Fatalf("methods = %d, want 2", len(def.Methods))
 	}
-	key := NativeKey("lib/Sys", "exit", "(I)V")
+	key := bytecode.NativeKey("lib/Sys", "exit", "(I)V")
 	if b.Natives[key] == nil {
 		t.Error("native not registered")
 	}

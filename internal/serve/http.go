@@ -38,12 +38,15 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := readBody(w, r)
 	if err != nil {
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
 	resp := s.roundTrip(tn, body, t0)
+	// Every reply body is non-empty plain text; naming its type spares
+	// net/http sniffing each one (DetectContentType yields the same value).
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Kaffeos-Tenant", tn.name)
 	if resp.pid != 0 {
 		w.Header().Set("X-Kaffeos-Pid", strconv.Itoa(int(resp.pid)))
@@ -53,6 +56,20 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.status)
 	_, _ = io.WriteString(w, resp.body)
+}
+
+// readBody reads a request body of at most maxBody bytes. A body whose
+// length the client declared is read into one buffer of exactly that
+// size; any other grows as it arrives, capped by MaxBytesReader.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 }
 
 // CaughtHeader marks a response to a request that shared a death of its

@@ -16,6 +16,7 @@ package spec
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/barrier"
@@ -36,8 +37,19 @@ type Workload struct {
 	Source string
 }
 
-// Module assembles the workload.
-func (w *Workload) Module() *bytecode.Module { return bytecode.MustAssemble(w.Source) }
+// Module returns the workload's assembled module. Modules are read-only
+// once built, so each source is assembled once per host process and every
+// run defines the same module.
+func (w *Workload) Module() *bytecode.Module {
+	if m, ok := modules.Load(w.Source); ok {
+		return m.(*bytecode.Module)
+	}
+	m, _ := modules.LoadOrStore(w.Source, bytecode.MustAssemble(w.Source))
+	return m.(*bytecode.Module)
+}
+
+// modules memoizes Module by source text.
+var modules sync.Map
 
 // All returns the seven workloads in SPEC's customary order.
 func All() []*Workload {
