@@ -9,10 +9,12 @@ import (
 // Module is a linkable unit: the output of the assembler and the input to a
 // class loader. It is pure data — no runtime state — so one Module can be
 // defined into any number of namespaces. A module must not be mutated
-// after its first Hash or DefinitionOrder call: both are memoized (the
-// shared code cache keys every load by the hash, and every namespace that
-// defines the module walks the same order), so re-deriving them per
-// process would dominate the starts they exist to make cheap.
+// after its first Hash, DefinitionOrder or VerifyModule call: all three
+// are memoized (the shared code cache keys every load by the hash, every
+// namespace that defines the module walks the same order, and
+// verification is a property of the content, not of the namespace), so
+// re-deriving them per process would dominate the starts they exist to
+// make cheap.
 type Module struct {
 	Classes []*ClassDef
 
@@ -22,6 +24,9 @@ type Module struct {
 	orderOnce sync.Once
 	order     []*ClassDef
 	orderErr  error
+
+	verifyOnce sync.Once
+	verifyErr  error
 }
 
 // ClassDef describes one class symbolically.

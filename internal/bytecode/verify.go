@@ -149,8 +149,14 @@ func Verify(m *MethodDef) error {
 	return nil
 }
 
-// VerifyModule verifies every method of every class in the module.
+// VerifyModule verifies every method of every class in the module. The
+// verdict, pass or refusal, is computed once per module and remembered.
 func VerifyModule(m *Module) error {
+	m.verifyOnce.Do(func() { m.verifyErr = m.verify() })
+	return m.verifyErr
+}
+
+func (m *Module) verify() error {
 	for _, c := range m.Classes {
 		for _, meth := range c.Methods {
 			if err := Verify(meth); err != nil {

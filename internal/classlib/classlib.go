@@ -42,8 +42,8 @@ type Library struct {
 }
 
 // New returns the library, built and verified on the first call and
-// shared by every later one. Loaders may define its modules with
-// DefinePreverified.
+// shared by every later one. Verification is memoized per module, so
+// defining its modules into a namespace runs no verifier.
 func New() *Library { return library() }
 
 var library = sync.OnceValue(func() *Library {

@@ -67,10 +67,9 @@ func NewManager(book *shared.Ledger, base *memlimit.Limit) *Manager {
 }
 
 // Peek reports whether an artifact exists for key without counting a
-// hit or miss. Loaders use it to decide whether the module's content is
-// already proven (a resident artifact implies the exact same bytecode
-// verified and compiled once) before the metered Lookup on the attach
-// path.
+// hit or miss. No load path uses it (verification is memoized per
+// module, so a load needs no proof from the cache); it stays for the
+// benchmark probes, which check that a first load left an artifact.
 func (m *Manager) Peek(key Key) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

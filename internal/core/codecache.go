@@ -23,22 +23,6 @@ func moduleLabel(m *bytecode.Module) string {
 	return "(empty)"
 }
 
-// defineModule defines m into p's namespace. When the cache already
-// holds an artifact for this exact content under the VM's engine
-// variant, the per-process verification pass is skipped: the key is the
-// module hash, so a resident artifact is proof that byte-identical
-// bytecode verified (and compiled) once already. Verification is a
-// property of the content, not the namespace — re-proving it per
-// process would dominate exactly the cold starts the cache exists to
-// shorten.
-func (vm *VM) defineModule(p *Process, m *bytecode.Module) error {
-	if vm.CodeMgr != nil &&
-		vm.CodeMgr.Peek(codecache.Key{ModuleHash: m.Hash(), Variant: vm.engineJIT.Variant()}) {
-		return p.Loader.DefinePreverified(m)
-	}
-	return p.Loader.DefineModule(m)
-}
-
 // attachCachedCode charges who (through lim) the full size of the
 // module's artifact for the VM's engine configuration. For a process, a
 // miss compiles and inserts the artifact and the compiled bodies seed its

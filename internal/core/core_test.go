@@ -9,6 +9,8 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/interp"
 	"repro/internal/jserv"
+	"repro/internal/shared"
+	"repro/internal/telemetry"
 )
 
 func newTestVM(t testing.TB) *VM {
@@ -175,13 +177,16 @@ L0:	aload 0
 }
 
 // A process verifies what it loads: code that pops an empty stack is
-// refused before any of it is defined.
+// refused before any of it is defined, by every process that loads it.
 func TestLoadRejectsUnverifiableCode(t *testing.T) {
 	vm := newTestVM(t)
-	p := mustProc(t, vm, "bad", ProcessOptions{})
-	err := p.Load(bytecode.MustAssemble(".class a/B\n.method m ()V\npop\nreturn\n.end\n.end"))
-	if err == nil || !strings.Contains(err.Error(), "pops") {
-		t.Errorf("unverifiable code loaded: %v", err)
+	bad := bytecode.MustAssemble(".class a/B\n.method m ()V\npop\nreturn\n.end\n.end")
+	for i := 0; i < 2; i++ {
+		p := mustProc(t, vm, "bad", ProcessOptions{})
+		err := p.Load(bad)
+		if err == nil || !strings.Contains(err.Error(), "pops") || p.Loader.Defined("a/B") {
+			t.Errorf("process %d loaded unverifiable code: %v", i+1, err)
+		}
 	}
 }
 
@@ -638,10 +643,23 @@ L0:	goto L0
 	}
 }
 
-func TestGCDrivenSharedCredit(t *testing.T) {
-	// A sharer that drops its references is credited at its next GC
-	// without an explicit drop syscall.
-	vm := newTestVM(t)
+// sharedCredit is the fixture of the shared-heap credit tests: a producer
+// process freezes the shared heap "blob" and keeps it, and a user process
+// looks it up, holds it in a static, drops that only reference and then
+// runs after, the body of app/User.after()V.
+type sharedCredit struct {
+	vm         *VM
+	prod, user *Process
+	th         *interp.Thread // the user's main thread, spawned but not yet run
+	sh         *shared.Heap
+}
+
+// sharedSpin is an after body that keeps the user process alive and
+// idle.
+const sharedSpin = "L0:\tgoto L0\n"
+
+func newSharedCredit(t *testing.T, userLimit uint64, after string) *sharedCredit {
+	t.Helper()
 	producer := `
 .class app/Prod
 .method main ()V static
@@ -652,6 +670,8 @@ func TestGCDrivenSharedCredit(t *testing.T) {
 	invokestatic kaffeos/Shared.create (Ljava/lang/String;I)V
 	ldc 2048
 	newarray [I
+	# the root stays on the operand stack: the producer still reaches it
+	dup
 	invokestatic kaffeos/Shared.setRoot (Ljava/lang/Object;)V
 	ldc "blob"
 	invokestatic kaffeos/Shared.freeze (Ljava/lang/String;)V
@@ -667,39 +687,135 @@ L0:	goto L0
 	ldc "blob"
 	invokestatic kaffeos/Shared.lookup (Ljava/lang/String;)Ljava/lang/Object;
 	putstatic app/User.hold Ljava/lang/Object;
-	# drop the reference and GC
+	# drop the reference
 	aconst_null
 	putstatic app/User.hold Ljava/lang/Object;
-	invokestatic kaffeos/Kernel.gc ()V
-L0:	goto L0
+	invokestatic app/User.after ()V
+	return
+.end
+.method after ()V static
+.locals 2
+.stack 3
+` + after + `	return
 .end
 .end`
-	prod := mustProc(t, vm, "prod", ProcessOptions{})
-	load(t, prod, producer)
-	spawn(t, prod, "app/Prod", "main()V")
-	if err := vm.Run(5_000_000); err != nil {
+	f := &sharedCredit{vm: newTestVM(t)}
+	f.prod = mustProc(t, f.vm, "prod", ProcessOptions{})
+	load(t, f.prod, producer)
+	spawn(t, f.prod, "app/Prod", "main()V")
+	if err := f.vm.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	u := mustProc(t, vm, "user", ProcessOptions{})
-	load(t, u, user)
-	spawn(t, u, "app/User", "main()V")
-	if err := vm.Run(20_000_000); err != nil {
+	var err error
+	if f.sh, err = f.vm.SharedMgr.Lookup("blob"); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := vm.SharedMgr.Lookup("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.SharedBy(u) {
+	f.user = mustProc(t, f.vm, "user", ProcessOptions{MemLimit: userLimit})
+	load(t, f.user, user)
+	f.th = spawn(t, f.user, "app/User", "main()V")
+	return f
+}
+
+// checkCredit asserts the user was credited for the shared heap it
+// dropped and the producer, which still holds it, was not.
+func (f *sharedCredit) checkCredit(t *testing.T) {
+	t.Helper()
+	if f.sh.SharedBy(f.user) {
 		t.Error("sharer still charged after dropping all references and GC")
 	}
-	if !sh.SharedBy(prod) {
+	if !f.sh.SharedBy(f.prod) {
 		t.Error("producer lost its charge spuriously")
 	}
 }
 
+func TestGCDrivenSharedCredit(t *testing.T) {
+	// A sharer that drops its references is credited at its next GC
+	// without an explicit drop syscall.
+	f := newSharedCredit(t, 0, "\tinvokestatic kaffeos/Kernel.gc ()V\n"+sharedSpin)
+	if err := f.vm.Run(20_000_000); err != nil {
+		t.Fatal(err)
+	}
+	f.checkCredit(t)
+}
+
+// TestGCAccountingEveryEntryPoint holds every way of collecting a process
+// heap to the same books: one collection of the user's heap, after it
+// dropped its last reference to a frozen shared heap, bills exactly the
+// cycles its pauses took (gc.charged = pause sum = cycles billed) to
+// exactly one payer, and credits the sharer. A threadless collection
+// bills the process' CPU account; a collection its own thread triggers
+// bills that thread, measured on its request span.
+func TestGCAccountingEveryEntryPoint(t *testing.T) {
+	const churn = `	iconst 0
+	istore 0
+C0:	ldc 512
+	newarray [I
+	astore 1
+	iinc 0 1
+	iload 0
+	ldc 2000
+	if_icmplt C0
+`
+	for _, tc := range []struct {
+		name  string
+		after string
+		// collect is the threadless entry point, called once the user
+		// has dropped its reference; nil when the user's own thread
+		// collects while it runs after.
+		collect func(f *sharedCredit)
+	}{
+		{"Process.Collect", sharedSpin, func(f *sharedCredit) { f.user.Collect() }},
+		{"CollectAttributed", sharedSpin, func(f *sharedCredit) { f.user.CollectAttributed(7) }},
+		{"VM.CollectHeap", sharedSpin, func(f *sharedCredit) { f.vm.CollectHeap(f.user.Heap) }},
+		{"VM.CollectAll", sharedSpin, func(f *sharedCredit) { f.vm.CollectAll() }},
+		{"Kernel.gc", "\tinvokestatic kaffeos/Kernel.gc ()V\n" + sharedSpin, nil},
+		{"allocation failure", churn + sharedSpin, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Under 256 KiB the heap never outgrows the adaptive
+			// trigger's floor, so only the entry point collects.
+			f := newSharedCredit(t, 256<<10, tc.after)
+			if tc.collect != nil {
+				if err := f.vm.Run(20_000_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scope := f.vm.Tel.Reg.Proc(int32(f.user.ID))
+			charged, pause := scope.Counter(telemetry.MGCCharged), scope.Histogram(telemetry.MGCPause)
+			span := &telemetry.Span{}
+			f.th.Span = span
+			charged0, sum0, count0, cpu0 := charged.Value(), pause.Sum(), pause.Count(), f.user.CPUCycles()
+			if tc.collect != nil {
+				tc.collect(f)
+			} else if err := f.vm.Run(20_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if pause.Count() == count0 {
+				t.Fatal("no collection of the user's heap")
+			}
+			billed := span.GCCycles
+			if tc.collect != nil {
+				if span.GCCycles != 0 {
+					t.Errorf("threadless collection billed %d cycles to a thread too", span.GCCycles)
+				}
+				billed = f.user.CPUCycles() - cpu0
+			}
+			dCharged, dSum := charged.Value()-charged0, pause.Sum()-sum0
+			if dCharged != dSum || billed != dSum {
+				t.Errorf("gc.charged +%d, pause sum +%d, billed %d: want all equal", dCharged, dSum, billed)
+			}
+			if f.user.State() != ProcRunning {
+				t.Fatalf("user %s: %v", f.user.State(), f.user.ExitError())
+			}
+			f.checkCredit(t)
+		})
+	}
+}
+
 func TestHardLimitReservation(t *testing.T) {
-	vm, err := NewVM(Config{TotalMemory: 8 << 20, KernelMemory: 2 << 20})
+	// The kernel reserves kernelMemory, the process 5 MiB, and 1 MiB is
+	// left over.
+	vm, err := NewVM(Config{TotalMemory: kernelMemory + 6<<20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1003,8 +1119,8 @@ func TestProcessAllocationCeilings(t *testing.T) {
 		max  float64
 		op   func()
 	}{
-		{"lifecycle", 180, incarnation(plain, 200_000, proc(plain, spin, "t/P", "main()V"))},
-		{"init-coldstart", 241, incarnation(vm, 0, proc(vm, warm))},
+		{"lifecycle", 178, incarnation(plain, 200_000, proc(plain, spin, "t/P", "main()V"))},
+		{"init-coldstart", 235, incarnation(vm, 0, proc(vm, warm))},
 		{"fork-coldstart", 178, incarnation(vm, 0, func() *Process {
 			clone, err := tpl.Fork("clone", opts)
 			if err != nil {
@@ -1014,7 +1130,7 @@ func TestProcessAllocationCeilings(t *testing.T) {
 		})},
 		// NetWide's cold start is compiling a wide method surface: each
 		// process privately, or once into the cache and then attached.
-		{"codecache-off", 7969, incarnation(vm, 0, proc(vm, wide, jserv.NetWideClass, "selftest()I"))},
+		{"codecache-off", 7462, incarnation(vm, 0, proc(vm, wide, jserv.NetWideClass, "selftest()I"))},
 		{"codecache-on", 710, incarnation(cached, 0, proc(cached, wide, jserv.NetWideClass, "selftest()I"))},
 	} {
 		n := testing.AllocsPerRun(20, c.op)

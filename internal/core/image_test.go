@@ -39,8 +39,9 @@ type imageVM struct {
 }
 
 // unverifiable pops an empty stack. Every VM of TestOneImageManyVMs
-// loads this one module: program modules are verified on every load, so
-// a refusal is never remembered as a pass.
+// loads this one module: its verification runs once per host process
+// and the refusal is remembered, so every VM and every process refuses
+// it.
 var unverifiable = bytecode.MustAssemble(".class a/B\n.method m ()V\npop\nreturn\n.end\n.end")
 
 // runImageVM builds one VM on the class library image and runs two spec

@@ -198,15 +198,12 @@ func (vm *VM) kernelNatives() (map[string]any, map[string]bool) {
 	})
 
 	add("kaffeos/Kernel.gc()V", func(t *interp.Thread, args []interp.Slot) (interp.Slot, error) {
-		vm.collectHeapFor(t, t.AllocHeap())
+		vm.collect(t, t.AllocHeap(), 0, nil)
 		return interp.Slot{}, nil
 	})
 
 	add("kaffeos/Kernel.kernelGC()V", func(t *interp.Thread, args []interp.Slot) (interp.Slot, error) {
-		res := vm.CollectKernel()
-		t.Fuel -= int64(res.Cycles)
-		t.Cycles += res.Cycles
-		vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
+		vm.collect(t, vm.KernelHeap, 0, nil)
 		return interp.Slot{}, nil
 	})
 

@@ -157,6 +157,25 @@ type Process struct {
 // the reloaded library classes defined and initialized), and interning
 // table. No threads run yet; use Spawn to start one.
 func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
+	p, err := vm.newProcess(name, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Load(vm.Lib.ReloadedModule); err != nil {
+		p.releaseEarly()
+		return nil, fmt.Errorf("core: class library for %q: %w", name, err)
+	}
+	vm.mu.Lock()
+	vm.procs[p.ID] = p
+	vm.mu.Unlock()
+	return p, nil
+}
+
+// newProcess builds the bare process that NewProcess and Template.Fork
+// both start from: a pid, a memlimit child of the root, cached telemetry
+// counters, its own heap, an empty namespace, and its EvProcCreate. The
+// caller enters it into the process table once it is fully built.
+func (vm *VM) newProcess(name string, opts ProcessOptions) (*Process, error) {
 	if opts.MemLimit == 0 {
 		opts.MemLimit = 16 << 20
 	}
@@ -164,11 +183,7 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: memlimit for %q: %w", name, err)
 	}
-	vm.mu.Lock()
-	vm.nextPid++
-	pid := vm.nextPid
-	vm.mu.Unlock()
-
+	pid := vm.newPid()
 	p := &Process{
 		ID:        pid,
 		Name:      name,
@@ -196,25 +211,16 @@ func (vm *VM) NewProcess(name string, opts ProcessOptions) (*Process, error) {
 	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
 	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
 	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
-
-	if err := p.Loader.DefinePreverified(vm.Lib.ReloadedModule); err != nil {
-		p.releaseEarly()
-		return nil, fmt.Errorf("core: reloaded library for %q: %w", name, err)
-	}
-	if err := p.initClasses(); err != nil {
-		p.releaseEarly()
-		return nil, fmt.Errorf("core: library clinit for %q: %w", name, err)
-	}
-	p.modules = append(p.modules, vm.Lib.ReloadedModule)
-	if err := vm.attachCachedCode(p, p.Limit, vm.Lib.ReloadedModule); err != nil {
-		p.releaseEarly()
-		return nil, fmt.Errorf("core: code cache for %q: %w", name, err)
-	}
-
-	vm.mu.Lock()
-	vm.procs[pid] = p
-	vm.mu.Unlock()
 	return p, nil
+}
+
+// newPid allocates the next pid; processes and templates share the pid
+// space.
+func (vm *VM) newPid() Pid {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	vm.nextPid++
+	return vm.nextPid
 }
 
 // random returns the process' random source, creating it on first use.
@@ -318,7 +324,7 @@ func (p *Process) Load(m *bytecode.Module) error {
 	if s := p.State(); s != ProcRunning {
 		return fmt.Errorf("core: load into %s process", s)
 	}
-	if err := p.VM.defineModule(p, m); err != nil {
+	if err := p.Loader.DefineModule(m); err != nil {
 		return err
 	}
 	if err := p.initClasses(); err != nil {
@@ -623,13 +629,7 @@ func (p *Process) stackAndStaticRoots(visit func(*object.Object)) {
 // paid for by its owner, so CPU accounting stays complete (§2, "Precise
 // memory and CPU accounting").
 func (p *Process) Collect() heap.GCResult {
-	p.pin()
-	defer p.unpin()
-	res := p.Heap.Collect(p.gcRoots())
-	p.resetGCTrigger()
-	p.chargeCPU(res.Cycles)
-	p.ctrGCCharged.Add(res.Cycles)
-	return res
+	return p.VM.collect(nil, p.Heap, 0, nil)
 }
 
 // CollectAttributed is Collect with the pause's telemetry stamped with a
@@ -637,11 +637,7 @@ func (p *Process) Collect() heap.GCResult {
 // outside thread execution (admission-pressure and marshal-retry GCs), so
 // those pauses land in the same ledger as trigger-driven ones.
 func (p *Process) CollectAttributed(req uint64) heap.GCResult {
-	if req != 0 {
-		p.Heap.SetRequester(req)
-		defer p.Heap.SetRequester(0)
-	}
-	return p.Collect()
+	return p.VM.collect(nil, p.Heap, req, nil)
 }
 
 // setControlledTrigger installs the memory-balancer controller's limit as

@@ -250,8 +250,8 @@ L0:	goto L0
 	// Root accounting: only the kernel reservation and whatever the kernel
 	// heap itself holds remain charged.
 	rootUse := vm.RootLimit.Use()
-	if rootUse != vm.Cfg.KernelMemory {
-		t.Errorf("root use = %d, want only the kernel reservation %d", rootUse, vm.Cfg.KernelMemory)
+	if rootUse != kernelMemory {
+		t.Errorf("root use = %d, want only the kernel reservation %d", rootUse, kernelMemory)
 	}
 	vm.SharedMgr.Snapshot(func(entries []shared.ChargeInfo) {
 		for _, e := range entries {

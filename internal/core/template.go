@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/heap"
-	"repro/internal/interp"
-	"repro/internal/loader"
 	"repro/internal/memlimit"
 	"repro/internal/object"
 	"repro/internal/telemetry"
@@ -91,10 +89,7 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 		return nil, fmt.Errorf("core: checkpoint of process %d with %d live thread(s)", p.ID, n)
 	}
 
-	vm.mu.Lock()
-	vm.nextPid++
-	pid := vm.nextPid
-	vm.mu.Unlock()
+	pid := vm.newPid()
 
 	// The template pays for itself from the root pool while the copy runs;
 	// once frozen, its max is pinned to exactly its residency.
@@ -182,12 +177,13 @@ func (vm *VM) Checkpoint(p *Process, name string) (*Template, error) {
 	return t, nil
 }
 
-// Fork stamps out a fresh isolated process from the template: a new pid,
-// a new memlimit child charged in full for the copied bytes, a new
-// namespace with the template's modules defined (no verification, no
-// statics allocation, no clinits — their effects arrive with the heap
-// copy), and a deep copy of the template heap with statics and interned
-// strings rebound. The clone is indistinguishable from a freshly-inited
+// Fork stamps out a fresh isolated process from the template. The bare
+// process — a new pid, a new memlimit child charged in full for the
+// copied bytes, its own heap and namespace — comes from the constructor
+// NewProcess uses. The fork then defines the template's modules into the
+// namespace (no verification, no statics allocation, no clinits — their
+// effects arrive with the heap copy) and deep-copies the template heap
+// into it, statics and interned strings rebound. The clone is indistinguishable from a freshly-inited
 // process that ran the same warmup (the fork differential suite holds it
 // to byte-identical results, heap bytes, and cycles).
 //
@@ -200,47 +196,15 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 		return nil, fmt.Errorf("core: fork from released template %q", t.Name)
 	}
 	vm := t.VM
-	if opts.MemLimit == 0 {
-		opts.MemLimit = 16 << 20
-	}
-	lim, err := vm.RootLimit.NewChild("proc:"+name, opts.MemLimit, opts.HardLimit)
+	p, err := vm.newProcess(name, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: memlimit for %q: %w", name, err)
+		return nil, err
 	}
-	vm.mu.Lock()
-	vm.nextPid++
-	pid := vm.nextPid
-	vm.mu.Unlock()
-
-	p := &Process{
-		ID:        pid,
-		Name:      name,
-		VM:        vm,
-		Limit:     lim,
-		Out:       opts.Out,
-		threads:   make(map[*interp.Thread]struct{}),
-		threadFor: make(map[*object.Object]*interp.Thread),
-		intern:    make(map[string]*object.Object),
-		seed:      opts.Seed + int64(pid),
-		cpuLimit:  opts.CPULimit,
-		ioLimit:   opts.IOLimit,
-	}
-	p.state.Store(uint32(ProcRunning))
-	p.gcTrigger.Store(gcMinHeap)
-	scope := vm.Tel.Reg.Proc(int32(pid))
-	p.ctrCPU = scope.Counter(telemetry.MCPUCycles)
-	p.ctrIO = scope.Counter(telemetry.MIOBytes)
-	p.ctrGCCharged = scope.Counter(telemetry.MGCCharged)
-	p.ctrGCAdaptive = scope.Counter(telemetry.MGCAdaptive)
-	scope.Gauge(telemetry.MMemLimit).Set(opts.MemLimit)
-	p.Heap = vm.Reg.NewOwnedHeap(heap.KindUser, fmt.Sprintf("proc:%s#%d", name, pid), lim, p, int32(pid))
-	p.emit(telemetry.EvProcCreate, opts.MemLimit, 0, name)
-	p.Loader = loader.NewProcess(fmt.Sprintf("%s#%d", name, pid), p.Heap, vm.Shared)
 
 	unwind := func(err error) (*Process, error) {
 		vm.SharedMgr.DetachAll(p)
 		_ = p.Heap.Destroy()
-		lim.Release()
+		p.Limit.Release()
 		p.reclaiming.Store(true)
 		p.state.Store(uint32(ProcReclaimed))
 		p.emit(telemetry.EvProcReclaim, 0, 0, "fork failed")
@@ -302,13 +266,13 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	// installs instead of compiling — the clone pays a memlimit debit,
 	// not a JIT pass.
 	for _, m := range t.modules {
-		if err := vm.attachCachedCode(p, lim, m); err != nil {
+		if err := vm.attachCachedCode(p, p.Limit, m); err != nil {
 			return unwind(fmt.Errorf("core: fork from template %q: %w", t.Name, err))
 		}
 	}
 
 	vm.mu.Lock()
-	vm.procs[pid] = p
+	vm.procs[p.ID] = p
 	vm.mu.Unlock()
 
 	copied := p.Heap.Bytes()
@@ -316,7 +280,7 @@ func (t *Template) Fork(name string, opts ProcessOptions) (*Process, error) {
 	k.Counter(telemetry.MForks).Inc()
 	k.Counter(telemetry.MForkBytes).Add(copied)
 	vm.Tel.Emit(telemetry.Event{
-		Kind: telemetry.EvFork, Pid: int32(pid),
+		Kind: telemetry.EvFork, Pid: int32(p.ID),
 		A: copied, B: uint64(t.ID), Detail: name,
 	})
 	return p, nil

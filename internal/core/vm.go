@@ -74,11 +74,9 @@ type Config struct {
 	// locking). Defaults false, matching Kaffe 1.0b4.
 	ThinLocks bool
 	// TotalMemory is the root memlimit (default 256 MiB — the paper's
-	// testbed RAM).
+	// testbed RAM). The kernel heap's 32 MiB hard reservation comes out
+	// of it.
 	TotalMemory uint64
-	// KernelMemory is the hard reservation for the kernel heap (default
-	// 32 MiB).
-	KernelMemory uint64
 	// MemBudget, when nonzero, runs the MemBalancer controller
 	// (internal/membal) over every process heap: the budget is
 	// redistributed across all process memlimits every MemBalInterval
@@ -121,9 +119,6 @@ func (c *Config) fill() {
 	if c.TotalMemory == 0 {
 		c.TotalMemory = 256 << 20
 	}
-	if c.KernelMemory == 0 {
-		c.KernelMemory = 32 << 20
-	}
 	if c.MemBalInterval == 0 {
 		c.MemBalInterval = 500_000
 	}
@@ -131,6 +126,10 @@ func (c *Config) fill() {
 		c.Stdout = io.Discard
 	}
 }
+
+// kernelMemory is the kernel heap's hard reservation under the root
+// memlimit.
+const kernelMemory = 32 << 20
 
 // The adaptive GC trigger's two constants. A process heap is collected
 // once it outgrows live + √(live × alloc-rate × gcSqrtHorizon), the
@@ -221,7 +220,7 @@ func NewVM(cfg Config) (*VM, error) {
 		vm.Stats.Faults = cfg.Faults
 		vm.RootLimit.SetFaults(cfg.Faults)
 	}
-	kernelLimit, err := vm.RootLimit.NewChild("kernel", cfg.KernelMemory, true)
+	kernelLimit, err := vm.RootLimit.NewChild("kernel", kernelMemory, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: kernel reservation: %w", err)
 	}
@@ -258,15 +257,16 @@ func NewVM(cfg Config) (*VM, error) {
 	}
 
 	// The library and kernel modules were verified once per host process
-	// when they were built; the shared loader only defines them.
+	// when they were built (verification is memoized per module); the
+	// shared loader only defines them.
 	vm.Lib = classlib.New()
 	vm.Shared = loader.NewShared(vm.KernelHeap)
 	vm.Shared.RegisterNatives(vm.Lib.Natives, vm.Lib.Kernel)
 	vm.Shared.RegisterNatives(vm.kernelNatives())
-	if err := vm.Shared.DefinePreverified(vm.Lib.SharedModule); err != nil {
+	if err := vm.Shared.DefineModule(vm.Lib.SharedModule); err != nil {
 		return nil, fmt.Errorf("core: defining shared library: %w", err)
 	}
-	if err := vm.Shared.DefinePreverified(kernelModule()); err != nil {
+	if err := vm.Shared.DefineModule(kernelModule()); err != nil {
 		return nil, fmt.Errorf("core: defining kernel classes: %w", err)
 	}
 
@@ -315,7 +315,7 @@ func NewVM(cfg Config) (*VM, error) {
 			// process through the normal path.
 			if p.State() == ProcRunning && p.Heap.Bytes() > p.gcTrigger.Load() {
 				p.ctrGCAdaptive.Inc()
-				vm.collectHeapFor(t, p.Heap)
+				vm.collect(t, p.Heap, 0, nil)
 			}
 		}
 	}
@@ -351,7 +351,7 @@ func (vm *VM) buildEnv() *interp.Env {
 		return vm.newString(t, s)
 	}
 	env.CollectHeap = func(t *interp.Thread, h *heap.Heap) {
-		vm.collectHeapFor(t, h)
+		vm.collect(t, h, 0, nil)
 	}
 	env.Spawn = func(t *interp.Thread, threadObj *object.Object) error {
 		p, ok := t.Owner.(*Process)
@@ -469,7 +469,7 @@ func (vm *VM) newString(t *interp.Thread, s string) (*object.Object, error) {
 		if !isMemExceeded(err) {
 			return nil, err
 		}
-		vm.collectHeapFor(t, h)
+		vm.collect(t, h, 0, nil)
 		o, err = h.AllocExtra(cls, uint64(len(s)))
 		if err != nil {
 			obj, terr := vm.newThrowable(t, interp.ClsOutOfMemory, err.Error())
@@ -483,55 +483,84 @@ func (vm *VM) newString(t *interp.Thread, s string) (*object.Object, error) {
 	return o, nil
 }
 
-// collectHeapFor runs a collection of h, charging the GC cycles to the
-// triggering thread (and hence its process): precise CPU accounting covers
-// time spent garbage collecting a process' heap.
-func (vm *VM) collectHeapFor(t *interp.Thread, h *heap.Heap) {
-	if t != nil && t.ReqID != 0 {
-		// Attribute the pause to the request whose thread triggered it —
-		// the same full-charging rule process accounting uses (a pause is
-		// never split across overlapping requests; DESIGN.md §11).
-		h.SetRequester(t.ReqID)
+// collect is the package's one collection of a heap: it stamps the pause
+// with the request it serves, pins the owning process, runs the
+// mark-sweep with the heap's roots (or takes swept, a result CollectAll's
+// worker pool already produced), rearms the owner's GC trigger, credits
+// shared heaps the owner no longer reaches, and bills one payer (§2): the
+// triggering thread t if any, else the owning process. The owner's
+// gc.charged, or the kernel's, records the bill. A threadless collection
+// of a heap no process owns bills nobody.
+func (vm *VM) collect(t *interp.Thread, h *heap.Heap, req uint64, swept *heap.GCResult) heap.GCResult {
+	if t != nil {
+		req = t.ReqID
+	}
+	if req != 0 {
+		// A pause is never split across overlapping requests: the one
+		// that triggered it is charged in full (DESIGN.md §11).
+		h.SetRequester(req)
 		defer h.SetRequester(0)
 	}
-	res := vm.CollectHeap(h)
-	if t != nil {
+	owner, _ := h.Owner.(*Process)
+	if owner != nil {
+		owner.pin()
+		defer owner.unpin()
+	}
+	var res heap.GCResult
+	switch {
+	case swept != nil:
+		res = *swept
+	case owner != nil:
+		res = h.Collect(owner.gcRoots())
+	case h == vm.KernelHeap:
+		// Orphaned shared heaps merge in first, so this collection
+		// reclaims them. Kernel roots: shared-library statics and every
+		// live thread's stack (stacks can hold kernel references).
+		vm.SharedMgr.ReclaimOrphans(h)
+		vm.mu.Lock()
+		vm.kernelGC++
+		vm.mu.Unlock()
+		res = h.Collect(func(visit func(*object.Object)) {
+			vm.Shared.StaticsRoots(visit)
+			vm.allStackRoots()(visit)
+		})
+	default:
+		res = h.Collect(vm.allStackRoots())
+	}
+	if owner != nil {
+		owner.resetGCTrigger()
+		vm.reconcileShared(owner)
+	}
+	switch {
+	case t != nil:
 		t.Fuel -= int64(res.Cycles)
 		t.Cycles += res.Cycles
 		if t.Span != nil {
 			t.Span.GCCycles += res.Cycles
 		}
-		// Record who paid: the gc.charged counter of the collected heap's
-		// scope must, in a complete accounting, equal the gc.cycles the
-		// pause histogram saw (asserted by TestGCAccountingComplete).
-		if owner, ok := h.Owner.(*Process); ok {
-			owner.ctrGCCharged.Add(res.Cycles)
-		} else {
-			vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
-		}
-	}
-}
-
-// CollectHeap collects any heap with the correct root set.
-func (vm *VM) CollectHeap(h *heap.Heap) heap.GCResult {
-	if h == vm.KernelHeap {
-		return vm.CollectKernel()
-	}
-	if owner, ok := h.Owner.(*Process); ok {
-		owner.pin()
-		defer owner.unpin()
-		res := h.Collect(owner.gcRoots())
-		owner.resetGCTrigger()
-		vm.reconcileShared(owner)
+	case owner != nil:
+		owner.chargeCPU(res.Cycles)
+	default:
 		return res
 	}
-	return h.Collect(vm.allStackRoots())
+	if owner != nil {
+		owner.ctrGCCharged.Add(res.Cycles)
+	} else {
+		vm.Tel.Reg.Kernel().Counter(telemetry.MGCCharged).Add(res.Cycles)
+	}
+	return res
+}
+
+// CollectHeap collects any heap with the correct root set, billed to its
+// owning process.
+func (vm *VM) CollectHeap(h *heap.Heap) heap.GCResult {
+	return vm.collect(nil, h, 0, nil)
 }
 
 // CollectAll collects every live process heap on a pool of GOMAXPROCS
-// worker goroutines, so independent collections overlap
-// instead of queueing, then charges each owner, reconciles shared-heap
-// accounting, and finishes with a kernel collection. It must only be
+// worker goroutines, so independent collections overlap instead of
+// queueing, then settles each through collect and finishes with a kernel
+// collection. It must only be
 // called while the scheduler is idle (between Run calls): a heap's own
 // mutator threads must be quiescent during its collection, which the
 // worker pool does not arrange — it only exploits that different
@@ -548,11 +577,7 @@ func (vm *VM) CollectAll() []heap.GCResult {
 	}
 	results := vm.Reg.CollectConcurrent(reqs, 0)
 	for i, p := range procs {
-		res := results[i]
-		p.chargeCPU(res.Cycles)
-		p.ctrGCCharged.Add(res.Cycles)
-		p.resetGCTrigger()
-		vm.reconcileShared(p)
+		vm.collect(nil, p.Heap, 0, &results[i])
 	}
 	vm.CollectKernel()
 	return results
@@ -612,17 +637,9 @@ func (vm *VM) Rebalance() []membal.Applied {
 func (vm *VM) Controller() *membal.Controller { return vm.ctl }
 
 // CollectKernel merges orphaned shared heaps, then collects the kernel
-// heap. Kernel roots: shared-library statics, the process table, and every
-// live thread's stack (stacks can hold kernel references directly).
+// heap.
 func (vm *VM) CollectKernel() heap.GCResult {
-	vm.SharedMgr.ReclaimOrphans(vm.KernelHeap)
-	vm.mu.Lock()
-	vm.kernelGC++
-	vm.mu.Unlock()
-	return vm.KernelHeap.Collect(func(visit func(*object.Object)) {
-		vm.Shared.StaticsRoots(visit)
-		vm.allStackRoots()(visit)
-	})
+	return vm.collect(nil, vm.KernelHeap, 0, nil)
 }
 
 // allStackRoots visits roots of every thread of every process.

@@ -180,19 +180,16 @@ func (l *Loader) arrayClass(name string) (*object.Class, error) {
 
 // DefineModule verifies and defines every class in m into this namespace,
 // linking constant pools and building vtables. Process loaders clone
-// method code (reloaded classes do not share text).
+// method code (reloaded classes do not share text). Verification is
+// memoized per module (bytecode.VerifyModule), so only the first define
+// of a module in the host process runs the verifier.
 func (l *Loader) DefineModule(m *bytecode.Module) error {
 	return l.define(m, true, false)
 }
 
-// DefinePreverified is DefineModule without the bytecode verification
-// pass. Verification is a property of the module's content, not of the
-// namespace, so a caller holding independent proof that this exact
-// content already verified — the class library and kernel modules,
-// verified when the host process built them, or the shared code cache's
-// content-addressed artifact, whose key is the module hash — may skip
-// re-proving it per namespace. Statics allocation and clinit queueing
-// still happen.
+// DefinePreverified is DefineModule without consulting the verifier's
+// verdict at all. No load path uses it; it stays for the benchmark
+// probes, which time it beside DefineModule.
 func (l *Loader) DefinePreverified(m *bytecode.Module) error {
 	return l.define(m, true, true)
 }

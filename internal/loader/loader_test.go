@@ -445,3 +445,72 @@ func TestDuplicateDefineRejected(t *testing.T) {
 		t.Error("duplicate definition accepted")
 	}
 }
+
+// Verification is a property of a module's content and runs once per
+// *Module: a second DefineModule of the same module, into a fresh
+// namespace, runs no verifier, so it costs exactly the allocations
+// DefinePreverified does, and a refused module is refused again.
+func TestVerifyOncePerModule(t *testing.T) {
+	const src = `
+.class v/Sum
+.method sum (I)I static
+.locals 3
+.stack 2
+	iconst 0
+	istore 1
+	iconst 0
+	istore 2
+L0:	iload 2
+	iload 0
+	if_icmpge DONE
+	iload 1
+	iload 2
+	iadd
+	istore 1
+	iinc 2 1
+	goto L0
+DONE:	iload 1
+	ireturn
+.end
+.end`
+	const runs = 20
+	// The pin below is only as good as the verifier's own allocations:
+	// verifying fresh copies of the module must allocate.
+	fresh := make([]*bytecode.Module, runs+1)
+	for i := range fresh {
+		fresh[i] = bytecode.MustAssemble(src)
+	}
+	i := 0
+	verify := testing.AllocsPerRun(runs, func() {
+		if err := bytecode.VerifyModule(fresh[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if verify == 0 {
+		t.Fatal("verifying a fresh module allocated nothing; the pin cannot see a verifier")
+	}
+
+	w := newWorld(t)
+	m := fresh[0]
+	define := func(def func(*Loader, *bytecode.Module) error) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			if err := def(NewProcess("p", w.user, w.shared), m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	again, preverified := define((*Loader).DefineModule), define((*Loader).DefinePreverified)
+	t.Logf("verify %v, DefineModule again %v, DefinePreverified %v allocations", verify, again, preverified)
+	if again != preverified {
+		t.Errorf("a second DefineModule of one module: %v allocations, DefinePreverified %v: the verifier ran again", again, preverified)
+	}
+
+	bad := bytecode.MustAssemble(".class v/Bad\n.method m ()V\npop\nreturn\n.end\n.end")
+	for n := 0; n < 2; n++ {
+		p := NewProcess("p", w.user, w.shared)
+		if err := p.DefineModule(bad); err == nil || !strings.Contains(err.Error(), "pops") || p.Defined("v/Bad") {
+			t.Errorf("define %d of an unverifiable module: %v", n+1, err)
+		}
+	}
+}

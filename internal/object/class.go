@@ -324,7 +324,9 @@ func (c *Class) AddMethod(def *bytecode.MethodDef, native any) (*Method, error) 
 }
 
 // BuildVTable computes c's vtable from its superclass's. Must be called
-// after all methods are added and after the super's vtable is built.
+// after all methods are added and after the super's vtable is built. A
+// virtual method overrides the nearest inherited declaration of its key,
+// found through the super chain's method maps, and takes its slot.
 func (c *Class) BuildVTable() {
 	if c.Super != nil {
 		c.VTable = append(c.VTable, c.Super.VTable...)
@@ -333,19 +335,15 @@ func (c *Class) BuildVTable() {
 		if m.Static || m.IsSpecial() {
 			continue
 		}
-		overrode := false
-		for i, sm := range c.VTable {
-			if sm.Key() == m.Key() {
-				c.VTable[i] = m
-				m.VIndex = i
-				overrode = true
-				break
+		if c.Super != nil {
+			if sm, ok := c.Super.MethodByKey(m.Key()); ok && sm.VIndex >= 0 {
+				c.VTable[sm.VIndex] = m
+				m.VIndex = sm.VIndex
+				continue
 			}
 		}
-		if !overrode {
-			m.VIndex = len(c.VTable)
-			c.VTable = append(c.VTable, m)
-		}
+		m.VIndex = len(c.VTable)
+		c.VTable = append(c.VTable, m)
 	}
 }
 
